@@ -1,6 +1,6 @@
 // Table 3: hit rate of Harmony's backward dangerous structure across
 // workloads and contention levels (the fraction of transactions aborted by
-// Rule 1 / Rule 3).
+// Rule 1).
 #include "bench/harness.h"
 #include "workload/smallbank.h"
 #include "workload/tpcc.h"

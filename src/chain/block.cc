@@ -207,6 +207,10 @@ Block BlockBuilder::Seal(TxnBatch batch, uint64_t order_time_us) {
 }
 
 Status ChainVerifier::Verify(const Block& b) {
+  if (anchor_at_first_) {
+    anchor_at_first_ = false;
+    if (b.header.block_id > 1) expected_prev_ = b.header.prev_hash;
+  }
   if (b.header.prev_hash != expected_prev_) {
     return Status::Corruption("hash chain broken at block " +
                               std::to_string(b.header.block_id));
@@ -228,14 +232,7 @@ Status ChainVerifier::Verify(const Block& b) {
 
 Status ChainVerifier::VerifyChain(const std::vector<Block>& blocks,
                                   const std::string& secret) {
-  ChainVerifier v(secret);
-  // A chain whose first record is past block 1 is a truncated or
-  // snapshot-installed log: the records below it were retired, so the audit
-  // anchors at the first record's stated predecessor (every surviving
-  // record is still hash- and signature-checked).
-  if (!blocks.empty() && blocks.front().header.block_id > 1) {
-    v.Reset(blocks.front().header.prev_hash);
-  }
+  ChainVerifier v = ForStoredLog(secret);
   for (const Block& b : blocks) {
     HARMONY_RETURN_NOT_OK(v.Verify(b));
   }

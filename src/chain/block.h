@@ -117,13 +117,26 @@ class ChainVerifier {
   /// `tip` (after replaying an already-audited chain).
   void Reset(const Digest& tip) { expected_prev_ = tip; }
 
-  /// Re-checks an already-stored chain (audit / tamper detection).
+  /// A verifier for re-checking a stored log from its first record. A log
+  /// whose first record is past block 1 was truncated or rebased by a
+  /// snapshot install: the records below it were retired, so the audit
+  /// anchors at the first record's stated predecessor (every record is
+  /// still hash- and signature-checked).
+  static ChainVerifier ForStoredLog(std::string secret) {
+    ChainVerifier v(std::move(secret));
+    v.anchor_at_first_ = true;
+    return v;
+  }
+
+  /// Re-checks an already-stored chain (audit / tamper detection), anchored
+  /// like ForStoredLog.
   static Status VerifyChain(const std::vector<Block>& blocks,
                             const std::string& secret);
 
  private:
   std::string secret_;
   Digest expected_prev_;
+  bool anchor_at_first_ = false;
 };
 
 }  // namespace harmony

@@ -403,9 +403,7 @@ Status BlockStore::ReadArchivedBlocks(std::vector<Block>* out) {
   return Status::OK();
 }
 
-Status BlockStore::ReadBlocksAfter(BlockId after_block,
-                                   std::vector<Block>* out) {
-  out->clear();
+Status BlockStore::ForEach(const std::function<Status(Block&&)>& fn) {
   // Snapshot (fd, end) under the lock and read through a dup: TruncateBefore
   // swaps fd_ for the rewritten file, but the dup keeps the pre-truncation
   // inode alive, so an overlapping scan sees a consistent (old) log instead
@@ -430,14 +428,21 @@ Status BlockStore::ReadBlocksAfter(BlockId after_block,
     }
     Block b;
     result = BlockCodec::Decode(payload, &b, kLogV4);
+    if (result.ok()) result = fn(std::move(b));
     if (!result.ok()) break;
-    if (b.header.block_id > after_block) {
-      out->push_back(std::move(b));
-    }
     off += static_cast<off_t>(rec_len);
   }
   ::close(fd);
   return result;
+}
+
+Status BlockStore::ReadBlocksAfter(BlockId after_block,
+                                   std::vector<Block>* out) {
+  out->clear();
+  return ForEach([&](Block&& b) {
+    if (b.header.block_id > after_block) out->push_back(std::move(b));
+    return Status::OK();
+  });
 }
 
 Status BlockStore::ReadLast(Block* out) {
@@ -450,7 +455,7 @@ Status BlockStore::ReadLast(Block* out) {
     // record write is in flight so the tip we read is fully on disk.
     order_cv_.wait(lk, [&] { return writes_in_flight_ == 0; });
     off = last_record_offset_;
-    fd = fd_ >= 0 ? ::dup(fd_) : -1;  // see ReadBlocksAfter: truncation-safe
+    fd = fd_ >= 0 ? ::dup(fd_) : -1;  // see ForEach: truncation-safe
   }
   if (fd < 0) return Status::IOError("block log not open");
   std::string payload;

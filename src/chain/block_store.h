@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -94,6 +95,12 @@ class BlockStore {
   /// (pipelined replicas append from concurrent simulation threads).
   Status Append(const Block& b);
 
+  /// Streams every record in log order to `fn`, one decoded block at a
+  /// time, so memory stays at one block whatever the chain length. Stops at
+  /// the first non-OK status — a bad record (Corruption) or `fn`'s own —
+  /// and returns it.
+  Status ForEach(const std::function<Status(Block&&)>& fn);
+
   /// Reads every block with id > after_block (recovery replay source).
   Status ReadBlocksAfter(BlockId after_block, std::vector<Block>* out);
 
@@ -128,7 +135,12 @@ class BlockStore {
   /// Safe against concurrent Append: waits for in-flight record writes.
   Status ReadLast(Block* out);
 
-  BlockId last_block_id() const { return last_block_id_; }
+  /// Read under the log's mutex: pipelined appends advance the tip from
+  /// simulation threads while other threads (the net frontend) poll it.
+  BlockId last_block_id() const {
+    std::lock_guard<std::mutex> lk(mu_);
+    return last_block_id_;
+  }
   /// Lowest block id still present in the live log; 0 when the log is
   /// empty. A value > 1 means older records were truncated (or the log was
   /// rebased by a snapshot install) — a joiner behind first_block_id() - 1
@@ -137,7 +149,10 @@ class BlockStore {
     std::lock_guard<std::mutex> lk(mu_);
     return first_block_id_;
   }
-  size_t num_blocks() const { return num_blocks_; }
+  size_t num_blocks() const {
+    std::lock_guard<std::mutex> lk(mu_);
+    return num_blocks_;
+  }
 
   // --- truncation accounting (relaxed, monotonic) -----------------------
   /// Records dropped from the live log across every TruncateBefore.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
 
 namespace harmony {
 
@@ -66,30 +67,34 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   }
   const size_t chunks = std::min(n, workers_.size() * 4);
   const size_t per = (n + chunks - 1) / chunks;
-  // done/mu/cv live on this frame, so a worker must never touch them after
-  // the waiter can observe completion: the increment happens *under* the
-  // mutex, which means the waiter's predicate only becomes true once the
-  // last worker is inside the lock — and the wait() can't return until that
-  // worker has released it and stopped referencing this stack.
-  size_t done = 0;
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  for (size_t c = 0; c < chunks; c++) {
-    const size_t lo = c * per;
-    const size_t hi = std::min(n, lo + per);
-    if (lo >= hi) {
-      std::lock_guard<std::mutex> lk(done_mu);
-      done++;
-      continue;
+  // Chunks are claimed from a shared counter by the pool's helpers *and* by
+  // the caller, so a caller whose helpers sit queued behind other work (a
+  // commit step while the next block simulates) still makes progress on its
+  // own. The state is shared-owned: a helper dequeued after the caller
+  // returned finds no chunk left and never touches `fn` or this frame.
+  struct Progress {
+    std::atomic<size_t> next{0};
+    size_t done = 0;  // chunks finished, guarded by mu
+    std::mutex mu;
+    std::condition_variable cv;
+  };
+  auto progress = std::make_shared<Progress>();
+  auto run = [progress, &fn, chunks, per, n] {
+    size_t ran = 0;
+    for (size_t c; (c = progress->next.fetch_add(1)) < chunks; ran++) {
+      const size_t hi = std::min(n, (c + 1) * per);
+      for (size_t i = c * per; i < hi; i++) fn(i);
     }
-    Submit([&, lo, hi] {
-      for (size_t i = lo; i < hi; i++) fn(i);
-      std::lock_guard<std::mutex> lk(done_mu);
-      if (++done == chunks) done_cv.notify_all();
-    });
-  }
-  std::unique_lock<std::mutex> lk(done_mu);
-  done_cv.wait(lk, [&] { return done == chunks; });
+    if (ran == 0) return;
+    std::lock_guard<std::mutex> lk(progress->mu);
+    progress->done += ran;
+    if (progress->done == chunks) progress->cv.notify_all();
+  };
+  const size_t helpers = std::min(chunks, workers_.size());
+  for (size_t h = 0; h < helpers; h++) Submit(run);
+  run();
+  std::unique_lock<std::mutex> lk(progress->mu);
+  progress->cv.wait(lk, [&] { return progress->done == chunks; });
 }
 
 void ThreadPool::ParallelShards(size_t shards,

@@ -16,8 +16,9 @@ namespace harmony {
 /// PostgreSQL); we map transactions onto pool workers instead.
 ///
 /// ParallelFor is the main entry point: it partitions [0, n) into chunks and
-/// blocks until every chunk has run. Nested ParallelFor calls from within
-/// tasks run inline to avoid deadlock.
+/// blocks until every chunk has run, running chunks on the calling thread
+/// too. Nested ParallelFor calls from within tasks run inline to avoid
+/// deadlock.
 class ThreadPool {
  public:
   explicit ThreadPool(size_t num_threads);
@@ -31,8 +32,9 @@ class ThreadPool {
   /// Enqueues a task; returns immediately.
   void Submit(std::function<void()> fn);
 
-  /// Runs fn(i) for every i in [0, n), spread across the pool, and waits.
-  /// If called from inside a pool worker, runs inline on the caller.
+  /// Runs fn(i) for every i in [0, n), spread across the pool and the
+  /// calling thread, and waits. If called from inside a pool worker, runs
+  /// inline on the caller.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
   /// Runs fn(shard) for shard in [0, shards) — one task per shard — and

@@ -274,10 +274,11 @@ obs::MetricsSnapshot HarmonyBC::CollectMetrics() {
   tracer_->height->Set(static_cast<int64_t>(height()));
   tracer_->pending_receipts->Set(static_cast<int64_t>(pending_receipts()));
   tracer_->queue_depth->Set(static_cast<int64_t>(queue_depth()));
-  // Storage engine instruments are sampled the same way: the pool and the
-  // block log keep their own relaxed counters; this mirrors them into the
-  // registry so one snapshot carries everything. Counters advance by delta
-  // (registry counters are monotonic), gauges overwrite.
+  // Storage engine and DCC instruments are sampled the same way: the pool,
+  // the block log and the protocol keep their own relaxed counters; this
+  // mirrors them into the registry so one snapshot carries everything.
+  // Counters advance by delta (registry counters are monotonic), gauges
+  // overwrite.
   {
     auto sync = [this](const char* name, uint64_t v) {
       obs::Counter* c = metrics_->GetCounter(name);
@@ -299,6 +300,12 @@ obs::MetricsSnapshot HarmonyBC::CollectMetrics() {
     sync(obs::kCounterLogTruncatedBlocks, bs->truncated_blocks());
     metrics_->GetGauge(obs::kGaugeLogLiveBytes)
         ->Set(static_cast<int64_t>(bs->live_log_bytes()));
+    const ProtocolStats& dcc = stats();
+    sync(obs::kCounterDccSimulated, dcc.simulated.load());
+    sync(obs::kCounterDccCommitted, dcc.committed.load());
+    sync(obs::kCounterDccCcAborted, dcc.cc_aborted.load());
+    sync(obs::kCounterDccLogicAborted, dcc.logic_aborted.load());
+    sync(obs::kCounterDccRepaired, dcc.repaired.load());
   }
   obs::MetricsSnapshot snap = metrics_->Snapshot();
   snap.slow_txns = tracer_->SlowTxns();

@@ -34,13 +34,16 @@ struct BlockResult {
   size_t committed = 0;
   size_t cc_aborted = 0;
   size_t logic_aborted = 0;
+  /// Transactions re-simulated at commit because their snapshot went stale
+  /// (Harmony with inter-block parallelism; counted in `outcomes` once).
+  size_t repaired = 0;
   size_t dangerous_hits = 0;  ///< backward-dangerous-structure matches
   size_t false_aborts = 0;    ///< CC aborts outside any rw-cycle (oracle)
   uint64_t sim_micros = 0;
   uint64_t commit_micros = 0;
 
   /// Committed TIDs in an order the block's schedule is equivalent to
-  /// (Harmony: ascending (generalized min_out, TID), a topological order of
+  /// (Harmony: ascending (min_out, TID), a topological order of
   /// the rw-subgraph per Theorem 2; serial protocols: commit order).
   /// Empty when the protocol does not expose one (Aria with reordering).
   std::vector<TxnId> equivalent_serial_order;
@@ -53,6 +56,7 @@ struct ProtocolStats {
   std::atomic<uint64_t> committed{0};
   std::atomic<uint64_t> cc_aborted{0};
   std::atomic<uint64_t> logic_aborted{0};
+  std::atomic<uint64_t> repaired{0};
   std::atomic<uint64_t> dangerous_hits{0};
   std::atomic<uint64_t> false_aborts{0};
   std::atomic<uint64_t> sim_micros{0};
@@ -64,6 +68,7 @@ struct ProtocolStats {
     committed.fetch_add(r.committed, std::memory_order_relaxed);
     cc_aborted.fetch_add(r.cc_aborted, std::memory_order_relaxed);
     logic_aborted.fetch_add(r.logic_aborted, std::memory_order_relaxed);
+    repaired.fetch_add(r.repaired, std::memory_order_relaxed);
     dangerous_hits.fetch_add(r.dangerous_hits, std::memory_order_relaxed);
     false_aborts.fetch_add(r.false_aborts, std::memory_order_relaxed);
     sim_micros.fetch_add(r.sim_micros, std::memory_order_relaxed);

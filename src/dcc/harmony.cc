@@ -1,6 +1,7 @@
 #include "dcc/harmony.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 
 #include "common/clock.h"
@@ -18,23 +19,61 @@ Status HarmonyProtocol::Simulate(const TxnBatch& batch) {
   return Status::OK();
 }
 
+Status HarmonyProtocol::RepairStaleReads(const TxnBatch& batch, SimState* st,
+                                         size_t* repaired) {
+  // A record whose reads miss every key block i-1 wrote saw exactly the
+  // snapshot i-1 values, and a procedure is a function of what it reads:
+  // its simulation at snapshot i-1 would be identical. Only the others are
+  // redone.
+  const BlockId snapshot = batch.block_id - 1;
+  std::atomic<size_t> count{0};
+  std::atomic<bool> failed{false};
+  pool_->ParallelFor(st->records.size(), [&](size_t i) {
+    const std::vector<Key>& reads = st->records[i].reads;
+    const bool stale = std::any_of(reads.begin(), reads.end(), [&](Key k) {
+      return prev_writes_.count(k) != 0;
+    });
+    if (!stale) return;
+    if (!SimulateOne(batch, i, snapshot, &st->records[i]).ok()) {
+      failed.store(true);
+    }
+    count.fetch_add(1, std::memory_order_relaxed);
+  });
+  if (failed.load()) return Status::IOError("repair simulation failed");
+  *repaired = count.load();
+  if (*repaired == 0) return Status::OK();
+  // Repaired records changed their read/write sets: re-derive the
+  // per-key aggregates from every record. Inline on the commit thread — a
+  // few map updates per record cost less than a pool round trip while the
+  // next block's simulation keeps the workers busy.
+  st->reservations =
+      std::make_unique<ReservationTable>(cfg_.reservation_shards);
+  for (size_t i = 0; i < st->records.size(); i++) {
+    const SimRecord& rec = st->records[i];
+    if (!rec.logic_abort) {
+      Reserve(rec, static_cast<uint32_t>(i), st->reservations.get());
+    }
+  }
+  return Status::OK();
+}
+
 Status HarmonyProtocol::Commit(const TxnBatch& batch, BlockResult* result) {
   SimState st = TakeSimState(batch.block_id);
+  Timer timer;
+  // With inter-block parallelism the block was simulated at snapshot i-2
+  // (barrier followers and block 1 already read snapshot i-1).
+  size_t repaired = 0;
+  if (st.snapshot + 1 < batch.block_id) {
+    HARMONY_RETURN_NOT_OK(RepairStaleReads(batch, &st, &repaired));
+  }
   auto& records = st.records;
   const ReservationTable& res = *st.reservations;
   const size_t n = records.size();
-  // Inter-block dependencies never cross a checkpoint barrier (the previous
-  // block's pipeline state is not part of the checkpoint).
-  const bool inter =
-      cfg_.harmony_inter_block && !IsBarrierFollower(batch.block_id);
-
-  Timer timer;
   std::vector<uint8_t> dangerous(n, 0);
 
-  // ---- Validation: Algorithm 1 (+ Rule 3 with inter-block parallelism).
-  // Fully parallel: each transaction derives min_out / max_in from the
-  // read-only reservation aggregates, then checks the (generalized)
-  // backward dangerous structure locally.
+  // ---- Validation: Algorithm 1. Fully parallel: each transaction derives
+  // min_out / max_in from the read-only reservation aggregates, then checks
+  // the backward dangerous structure locally.
   pool_->ParallelFor(n, [&](size_t i) {
     SimRecord& rec = records[i];
     if (rec.logic_abort) return;
@@ -54,50 +93,11 @@ Status HarmonyProtocol::Commit(const TxnBatch& batch, BlockResult* result) {
       if (e == nullptr) continue;
       max_in = std::max(max_in, e->MaxReaderExcluding(tid));
     }
-
-    // Inter-block edges (Rule 3). A transaction of block i that read a key
-    // written by a *committed* transaction W of block i-1 read W's
-    // before-image (its snapshot is block i-2): an inter-rw out-edge.
-    TxnId min_out_eff = min_out;
-    bool inter_abort = false;
-    bool has_inter_out = false;
-    if (inter && !prev_.writes.empty()) {
-      for (Key k : rec.reads) {
-        auto it = prev_.writes.find(k);
-        if (it == prev_.writes.end()) continue;
-        has_inter_out = true;
-        min_out_eff = std::min(min_out_eff, it->second.tid);
-        // Policy (ii): T_i <- W <- T with W in the earlier block. The
-        // designated victim of a cross-block structure whose middle already
-        // committed can only be the later transaction.
-        if (it->second.gen_min_out < it->second.tid) inter_abort = true;
-      }
-      if (min_out_eff < tid && !inter_abort) {
-        // Generalized structure T_i <- T <- W2 where W2 is a committed
-        // previous-block writer that T overwrites (W2 precedes T via ww,
-        // while T_i = min_out_eff must follow T). Rule 3 designates Tk=W2,
-        // but W2 already committed, so the later transaction aborts —
-        // deterministic on every replica since commit steps are sequenced.
-        for (const auto& [k, cmd] : rec.writes) {
-          (void)cmd;
-          auto it = prev_.writes.find(k);
-          if (it != prev_.writes.end() && min_out_eff <= it->second.tid) {
-            inter_abort = true;
-            break;
-          }
-        }
-      }
-      (void)has_inter_out;
-    }
-
     rec.min_out = min_out;
     rec.max_in = max_in;
-    rec.gen_min_out = min_out_eff;
 
-    // Rule 1 / Rule 3 check (line #12 of Algorithm 1, generalized).
-    const bool rule_hit =
-        (min_out_eff < tid) && (min_out_eff <= max_in);
-    if (rule_hit || inter_abort) {
+    // Rule 1 check (line #12 of Algorithm 1).
+    if (min_out < tid && min_out <= max_in) {
       rec.cc_abort = true;
       dangerous[i] = 1;
       return;
@@ -133,7 +133,7 @@ Status HarmonyProtocol::Commit(const TxnBatch& batch, BlockResult* result) {
 
       // Gather surviving writers of this key.
       struct Item {
-        TxnId order;  // gen_min_out (== min_out when intra-block only)
+        TxnId order;  // min_out
         TxnId tid;
         const UpdateCommand* cmd;
       };
@@ -144,7 +144,7 @@ Status HarmonyProtocol::Commit(const TxnBatch& batch, BlockResult* result) {
         if (w.cc_abort || w.logic_abort) continue;
         for (const auto& [wk, wcmd] : w.writes) {
           if (wk == key) {
-            items.push_back(Item{w.gen_min_out, w.tid, &wcmd});
+            items.push_back(Item{w.min_out, w.tid, &wcmd});
             break;
           }
         }
@@ -200,20 +200,21 @@ Status HarmonyProtocol::Commit(const TxnBatch& batch, BlockResult* result) {
   });
   if (apply_failed.load()) return Status::IOError("apply failed");
 
-  // ---- Bookkeeping for the next block's Rule 3 evaluation.
+  // ---- Bookkeeping for the next block's repair.
   if (cfg_.harmony_inter_block) {
-    prev_.Clear();
+    prev_writes_.clear();
     for (const SimRecord& rec : records) {
       if (rec.cc_abort || rec.logic_abort) continue;
       for (const auto& [k, cmd] : rec.writes) {
         (void)cmd;
-        prev_.writes[k] = PrevBlockInfo::WriterInfo{rec.tid, rec.gen_min_out};
+        prev_writes_.insert(k);
       }
     }
   }
 
   // ---- Result assembly.
   result->block_id = batch.block_id;
+  result->repaired = repaired;
   result->outcomes.resize(n);
   for (size_t i = 0; i < n; i++) {
     const SimRecord& rec = records[i];
@@ -233,12 +234,12 @@ Status HarmonyProtocol::Commit(const TxnBatch& batch, BlockResult* result) {
     result->false_aborts = CountFalseAborts(st);
   }
   // The schedule is equivalent to serial execution in ascending
-  // (gen_min_out, tid) — the order update reordering enforces (Theorem 2).
+  // (min_out, tid) — the order update reordering enforces (Theorem 2).
   {
     std::vector<std::pair<TxnId, TxnId>> order;
     for (const SimRecord& rec : records) {
       if (!rec.cc_abort && !rec.logic_abort) {
-        order.emplace_back(rec.gen_min_out, rec.tid);
+        order.emplace_back(rec.min_out, rec.tid);
       }
     }
     std::sort(order.begin(), order.end());

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <unordered_map>
 #include <unordered_set>
 
 #include "dcc/protocol.h"
@@ -16,8 +15,16 @@ namespace harmony {
 ///  - update coalescence — one transaction applies each key's commands,
 ///    merged into a single physical update (affine composition);
 ///  - inter-block parallelism — block i simulates against snapshot i-2 while
-///    block i-1 finishes; Rule 3's generalized backward dangerous structure
-///    keeps commits deterministic despite inter-block rw-dependencies.
+///    block i-1 commits. When block i commits, block i-1 has committed, so
+///    every transaction that read a key block i-1 wrote is *repaired*:
+///    re-simulated against snapshot i-1, in parallel. The paper's Figure 6
+///    policy (Rule 3) instead keeps such a stale read as an inter-block
+///    rw-edge and aborts the later transaction of a generalized dangerous
+///    structure. After the repair every record holds exactly what a lag-1
+///    simulation would have produced, so the block validates as an
+///    ordinary single block (Rule 1, Rule 2, coalescence) and its outcomes
+///    equal those of the same chain with inter-block parallelism off: the
+///    pipeline overlaps work without adding aborts.
 class HarmonyProtocol : public DccProtocol {
  public:
   using DccProtocol::DccProtocol;
@@ -34,18 +41,16 @@ class HarmonyProtocol : public DccProtocol {
   Status Commit(const TxnBatch& batch, BlockResult* result) override;
 
  private:
-  /// What the next block needs to know about this block's committed
-  /// transactions to evaluate Rule 3 (only kept with inter-block on).
-  struct PrevBlockInfo {
-    struct WriterInfo {
-      TxnId tid = 0;
-      TxnId gen_min_out = 0;  ///< generalized min_out at W's commit
-    };
-    std::unordered_map<Key, WriterInfo> writes;  ///< committed writers by key
-    void Clear() { writes.clear(); }
-  };
+  /// Re-simulates, against snapshot block_id-1, every record of `st` that
+  /// read a key in prev_writes_, and rebuilds the reservation table when
+  /// any was repaired. Sets *repaired to the number of records redone.
+  Status RepairStaleReads(const TxnBatch& batch, SimState* st,
+                          size_t* repaired);
 
-  PrevBlockInfo prev_;
+  /// Keys written by the previous block's committed transactions (kept
+  /// only with inter-block parallelism on; read and written only by the
+  /// in-order commit step).
+  std::unordered_set<Key> prev_writes_;
 };
 
 }  // namespace harmony

@@ -27,6 +27,7 @@ Status DccProtocol::SimulateBatch(const TxnBatch& batch, BlockId snapshot,
   Timer timer;
   const size_t n = batch.size();
   out->records.assign(n, SimRecord{});
+  out->snapshot = snapshot;
   if (register_reservations) {
     out->reservations =
         std::make_unique<ReservationTable>(cfg_.reservation_shards);
@@ -35,51 +36,73 @@ Status DccProtocol::SimulateBatch(const TxnBatch& batch, BlockId snapshot,
   std::atomic<bool> failed{false};
   pool_->ParallelFor(n, [&](size_t i) {
     SimRecord& rec = out->records[i];
-    rec.tid = batch.tid_of(i);
-
-    // Deterministic straggler injection (latency variance inside a block).
-    if (cfg_.straggler_prob > 0 &&
-        static_cast<double>(Mix64(rec.tid) % 1000000) <
-            cfg_.straggler_prob * 1e6) {
-      SimulateDelayMicros(cfg_.straggler_us);
-    }
-
-    const TxnRequest& req = batch.txns[i];
-    const ProcedureFn* fn = procs_->Find(req.proc_id);
-    if (fn == nullptr) {
-      rec.logic_abort = true;  // unknown contract: deterministic rejection
+    if (!SimulateOne(batch, i, snapshot, &rec).ok()) {
+      failed.store(true);
       return;
     }
-    TxnContext ctx(rec.tid, batch.block_id,
-                   [&](Key k, std::optional<Value>* v) -> Status {
-                     std::optional<std::string> raw;
-                     Status s = store_->ReadAtSnapshot(k, snapshot, &raw);
-                     if (!s.ok()) return s;
-                     if (raw.has_value()) {
-                       v->emplace(Value::Decode(*raw));
-                     } else {
-                       v->reset();
-                     }
-                     return Status::OK();
-                   });
-    Status s = (*fn)(ctx, req.args);
-    if (!s.ok()) {
-      rec.logic_abort = true;  // deterministic: same on every replica
-      rec.reads = ctx.read_set();
-      return;
-    }
-    rec.reads = ctx.read_set();
-    rec.writes = std::move(ctx.mutable_write_set());
-    if (register_reservations) {
-      for (Key k : rec.reads) out->reservations->RegisterRead(k, rec.tid);
-      for (const auto& [k, cmd] : rec.writes) {
-        out->reservations->RegisterWrite(k, rec.tid, static_cast<uint32_t>(i));
-      }
+    if (register_reservations && !rec.logic_abort) {
+      Reserve(rec, static_cast<uint32_t>(i), out->reservations.get());
     }
   });
   if (failed.load()) return Status::IOError("simulation failed");
   out->sim_micros = timer.ElapsedMicros();
   return Status::OK();
+}
+
+Status DccProtocol::SimulateOne(const TxnBatch& batch, size_t i,
+                                BlockId snapshot, SimRecord* rec) {
+  *rec = SimRecord{};
+  rec->tid = batch.tid_of(i);
+
+  // Deterministic straggler injection (latency variance inside a block).
+  if (cfg_.straggler_prob > 0 &&
+      static_cast<double>(Mix64(rec->tid) % 1000000) <
+          cfg_.straggler_prob * 1e6) {
+    SimulateDelayMicros(cfg_.straggler_us);
+  }
+
+  const TxnRequest& req = batch.txns[i];
+  const ProcedureFn* fn = procs_->Find(req.proc_id);
+  if (fn == nullptr) {
+    rec->logic_abort = true;  // unknown contract: deterministic rejection
+    return Status::OK();
+  }
+  Status read_error;
+  TxnContext ctx(rec->tid, batch.block_id,
+                 [&](Key k, std::optional<Value>* v) -> Status {
+                   std::optional<std::string> raw;
+                   Status s = store_->ReadAtSnapshot(k, snapshot, &raw);
+                   if (!s.ok()) {
+                     read_error = s;
+                     return s;
+                   }
+                   if (raw.has_value()) {
+                     v->emplace(Value::Decode(*raw));
+                   } else {
+                     v->reset();
+                   }
+                   return Status::OK();
+                 });
+  Status s = (*fn)(ctx, req.args);
+  // A storage error differs between replicas; it must not pass for the
+  // procedure's own (deterministic) abort.
+  HARMONY_RETURN_NOT_OK(read_error);
+  rec->reads = ctx.read_set();
+  if (!s.ok()) {
+    rec->logic_abort = true;  // deterministic: same on every replica
+    return Status::OK();
+  }
+  rec->writes = std::move(ctx.mutable_write_set());
+  return Status::OK();
+}
+
+void DccProtocol::Reserve(const SimRecord& rec, uint32_t idx,
+                          ReservationTable* res) {
+  for (Key k : rec.reads) res->RegisterRead(k, rec.tid);
+  for (const auto& [k, cmd] : rec.writes) {
+    (void)cmd;
+    res->RegisterWrite(k, rec.tid, idx);
+  }
 }
 
 void DccProtocol::StashSimState(BlockId block, SimState state) {

@@ -40,7 +40,7 @@ struct DccConfig {
   // --- Harmony ablation flags (Figure 20) ---
   bool harmony_update_reordering = true;  ///< off => Aria-style ww aborts
   bool harmony_update_coalescing = true;  ///< off => one lookup per command
-  bool harmony_inter_block = true;        ///< off => snapshot lag 1, no Rule 3
+  bool harmony_inter_block = true;        ///< off => snapshot lag 1, no overlap
 
   // --- Aria ---
   bool aria_deterministic_reordering = true;  ///< waw ∨ (raw ∧ war) vs waw ∨ raw
@@ -84,13 +84,13 @@ struct SimRecord {
   // Harmony Algorithm 1 summary (filled in the commit step).
   TxnId min_out = 0;   ///< min outgoing rw TID (init tid+1)
   TxnId max_in = 0;    ///< max incoming rw TID (init kNoIncomingTid)
-  TxnId gen_min_out = 0;  ///< generalized min_out incl. inter-block edges
 };
 
 /// State carried from a block's simulation step to its commit step.
 struct SimState {
   std::vector<SimRecord> records;
   std::unique_ptr<ReservationTable> reservations;
+  BlockId snapshot = 0;  ///< the block snapshot the records were read at
   uint64_t sim_micros = 0;
 };
 
@@ -138,6 +138,17 @@ class DccProtocol {
   Status SimulateBatch(const TxnBatch& batch, BlockId snapshot,
                        bool register_reservations, SimState* out);
 
+  /// Simulates transaction i of the batch against `snapshot` into *rec
+  /// (overwritten). A procedure failure is a deterministic logic abort; a
+  /// failed storage read is not, and returns its error.
+  Status SimulateOne(const TxnBatch& batch, size_t i, BlockId snapshot,
+                     SimRecord* rec);
+
+  /// Registers a simulated (not logic-aborted) record at sim-record index
+  /// `idx` in the block's reservation table.
+  static void Reserve(const SimRecord& rec, uint32_t idx,
+                      ReservationTable* res);
+
   /// Moves a completed SimState into / out of the pending map (pipeline).
   void StashSimState(BlockId block, SimState state);
   SimState TakeSimState(BlockId block);
@@ -149,14 +160,6 @@ class DccProtocol {
   BlockId LastBarrierBefore(BlockId block) const {
     if (cfg_.barrier_every == 0 || block == 0) return 0;
     return ((block - 1) / cfg_.barrier_every) * cfg_.barrier_every;
-  }
-
-  /// True for the first block after a checkpoint barrier: it must not carry
-  /// pipeline state (snapshots, inter-block dependencies) across the
-  /// barrier, so that recovery from the checkpoint is deterministic.
-  bool IsBarrierFollower(BlockId block) const {
-    return cfg_.barrier_every != 0 && block > 1 &&
-           block == LastBarrierBefore(block) + 1;
   }
 
   /// Clamps a desired snapshot so it never reaches past the last barrier.

@@ -68,6 +68,16 @@ inline constexpr char kCounterLogTruncatedBlocks[] =
     "storage.log.truncated_blocks";
 inline constexpr char kGaugeLogLiveBytes[] = "storage.log.live_bytes";
 
+// DCC plane (ProtocolStats, refreshed by HarmonyBC::CollectMetrics).
+// Every simulated transaction ends committed, CC-aborted or logic-aborted;
+// repaired ones (re-simulated at commit, inter-block parallelism) are
+// counted once among those three as well.
+inline constexpr char kCounterDccSimulated[] = "dcc.simulated";
+inline constexpr char kCounterDccCommitted[] = "dcc.committed";
+inline constexpr char kCounterDccCcAborted[] = "dcc.cc_aborted";
+inline constexpr char kCounterDccLogicAborted[] = "dcc.logic_aborted";
+inline constexpr char kCounterDccRepaired[] = "dcc.repaired";
+
 // ---------------------------------------------------------------------------
 
 enum class EventSeverity : uint8_t {

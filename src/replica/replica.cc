@@ -85,23 +85,27 @@ Result<BlockId> Replica::Recover() {
   return std::max(block_store_->last_block_id(), checkpointed);
 }
 
-Status Replica::ReplayFrom(BlockId checkpointed) {
-  std::vector<Block> blocks;
-  HARMONY_RETURN_NOT_OK(block_store_->ReadAll(&blocks));
-  // Audit the whole chain before trusting it, then fast-forward the live
-  // verifier to the chain tip. A log whose first record is past block 1
-  // belongs to a snapshot-installed follower: the records below the base
-  // were never shipped, so the audit anchors at the first record's stated
-  // predecessor (every surviving record is still signature-checked).
-  ChainVerifier v(opts_.orderer_secret);
-  if (!blocks.empty() && blocks.front().header.block_id > 1) {
-    v.Reset(blocks.front().header.prev_hash);
-  }
-  for (const Block& b : blocks) {
+Status Replica::AuditLog(BlockId keep_after, std::vector<Block>* kept,
+                         std::optional<Digest>* tip) {
+  ChainVerifier v = ChainVerifier::ForStoredLog(opts_.orderer_secret);
+  return block_store_->ForEach([&](Block&& b) -> Status {
     HARMONY_RETURN_NOT_OK(v.Verify(b));
-  }
-  if (!blocks.empty()) {
-    verifier_->Reset(blocks.back().header.block_hash);
+    if (tip != nullptr) *tip = b.header.block_hash;
+    if (kept != nullptr && b.header.block_id > keep_after) {
+      kept->push_back(std::move(b));
+    }
+    return Status::OK();
+  });
+}
+
+Status Replica::ReplayFrom(BlockId checkpointed) {
+  // Audit the whole chain before trusting it, keeping only the blocks the
+  // replay needs, then fast-forward the live verifier to the chain tip.
+  std::vector<Block> blocks;
+  std::optional<Digest> tip;
+  HARMONY_RETURN_NOT_OK(AuditLog(checkpointed, &blocks, &tip));
+  if (tip.has_value()) {
+    verifier_->Reset(*tip);
   } else if (checkpointed != 0) {
     // Snapshot installed, no blocks appended since: the persisted anchor is
     // the only record of what the next block must chain from.
@@ -119,7 +123,6 @@ Status Replica::ReplayFrom(BlockId checkpointed) {
   }
   replaying_ = true;
   for (Block& b : blocks) {
-    if (b.header.block_id <= checkpointed) continue;
     Status s = SubmitBlock(std::move(b));
     if (!s.ok()) {
       replaying_ = false;
@@ -429,9 +432,7 @@ Status Replica::Checkpoint() {
 }
 
 Status Replica::AuditChain() {
-  std::vector<Block> blocks;
-  HARMONY_RETURN_NOT_OK(block_store_->ReadAll(&blocks));
-  return ChainVerifier::VerifyChain(blocks, opts_.orderer_secret);
+  return AuditLog(/*keep_after=*/0, /*kept=*/nullptr, /*tip=*/nullptr);
 }
 
 BlockId Replica::last_committed() const {

@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <queue>
 #include <string>
 #include <thread>
@@ -140,7 +141,7 @@ class Replica {
   /// Forces a checkpoint now (flush + manifest).
   Status Checkpoint();
 
-  /// Reads the whole chain back and verifies hashes + signatures.
+  /// Streams the whole chain back and verifies hashes + signatures.
   Status AuditChain();
 
   const ProtocolStats& protocol_stats() const { return protocol_->stats(); }
@@ -157,6 +158,12 @@ class Replica {
   void CommitWorker();
   Status AfterCommit(const Block& block, const BlockResult& result);
   Status ReplayFrom(BlockId checkpointed);
+  /// One streaming pass over the block log: verifies every record (anchored
+  /// by ChainVerifier::ForStoredLog), moves the blocks with id > keep_after
+  /// into *kept and leaves the last record's hash in *tip (each if non-null;
+  /// *tip stays unset for an empty log).
+  Status AuditLog(BlockId keep_after, std::vector<Block>* kept,
+                  std::optional<Digest>* tip);
   /// The chain-verifier anchor a snapshot install persists: with no block
   /// records below the snapshot base, the tip hash must survive restarts
   /// somewhere, or the next replicated block could not be chain-checked.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/harmonybc.h"
+#include "obs/events.h"
 #include "tests/test_util.h"
 
 namespace harmony {
@@ -124,6 +125,50 @@ TEST(HarmonyBC, AllProtocolsViaFacade) {
     }
     EXPECT_EQ(total, 600) << DccKindName(kind);
   }
+}
+
+TEST(HarmonyBC, ContendedRunExportsDccCounters) {
+  // Transfers over four hot accounts: Rule 1 aborts, insufficient-funds
+  // logic aborts, and (inter-block parallelism on by default) stale reads
+  // repaired at commit. The registry must carry all of it, and every
+  // simulated transaction must land in exactly one outcome.
+  TempDir dir("bc-dcc");
+  auto db = HarmonyBC::Open(FastOpts(dir.path()));
+  ASSERT_TRUE(db.ok());
+  ASSERT_TRUE((*db)->options().dcc.harmony_inter_block);
+  (*db)->RegisterProcedure(1, "transfer", Transfer);
+  for (Key k = 0; k < 4; k++) ASSERT_OK((*db)->Load(k, Value({100})));
+  ASSERT_OK((*db)->Recover().status());
+  for (int i = 0; i < 400; i++) {
+    TxnRequest t;
+    t.proc_id = 1;
+    t.args.ints = {i % 4, (i * 7 + 1) % 4, 20 + (i * 13) % 50};
+    if (t.args.ints[0] == t.args.ints[1]) t.args.ints[1] = (i + 1) % 4;
+    ASSERT_OK((*db)->Submit(std::move(t)));
+  }
+  ASSERT_OK((*db)->Sync());
+
+  const obs::MetricsSnapshot snap = (*db)->CollectMetrics();
+  auto counter = [&](const char* name) -> uint64_t {
+    for (const auto& c : snap.counters) {
+      if (c.name == name) return c.value;
+    }
+    ADD_FAILURE() << name << " not exported";
+    return 0;
+  };
+  const uint64_t simulated = counter(obs::kCounterDccSimulated);
+  const uint64_t committed = counter(obs::kCounterDccCommitted);
+  const uint64_t cc_aborted = counter(obs::kCounterDccCcAborted);
+  const uint64_t logic_aborted = counter(obs::kCounterDccLogicAborted);
+  const uint64_t repaired = counter(obs::kCounterDccRepaired);
+  EXPECT_GE(simulated, 400u);
+  EXPECT_GT(committed, 0u);
+  EXPECT_GT(cc_aborted, 0u);
+  EXPECT_GT(logic_aborted, 0u);
+  EXPECT_GT(repaired, 0u);
+  EXPECT_LE(repaired, simulated);
+  EXPECT_EQ(committed + cc_aborted + logic_aborted, simulated);
+  EXPECT_EQ(simulated, (*db)->stats().simulated.load());
 }
 
 }  // namespace

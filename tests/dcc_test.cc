@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <thread>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -126,11 +127,13 @@ class SerialEngine {
 /// Harness around one protocol instance over a memory backend.
 class Engine {
  public:
-  Engine(DccKind kind, DccConfig cfg, size_t threads = 4) {
+  /// DCC unit tests run without checkpoint barriers unless asked.
+  Engine(DccKind kind, DccConfig cfg, size_t threads = 4,
+         size_t barrier_every = 0) {
     RegisterTestProcs(&procs_);
     store_ = std::make_unique<VersionedStore>(&backend_);
     pool_ = std::make_unique<ThreadPool>(threads);
-    cfg.barrier_every = 0;  // DCC unit tests: no checkpoint barriers
+    cfg.barrier_every = barrier_every;
     proto_ = MakeProtocol(kind, store_.get(), &procs_, pool_.get(), cfg);
   }
 
@@ -150,21 +153,57 @@ class Engine {
     return res;
   }
 
-  /// Pipelined execution of two batches (simulate i+1 before commit i).
+  /// Pipelined execution of two batches (simulate i+1 during commit i).
   std::pair<BlockResult, BlockResult> ExecutePipelined(
       std::vector<TxnRequest> first, std::vector<TxnRequest> second) {
-    TxnBatch b1{++last_block_, next_tid_, {}};
-    b1.txns = std::move(first);
-    next_tid_ += b1.txns.size();
-    TxnBatch b2{++last_block_, next_tid_, {}};
-    b2.txns = std::move(second);
-    next_tid_ += b2.txns.size();
-    EXPECT_OK(proto_->Simulate(b1));
-    EXPECT_OK(proto_->Simulate(b2));  // overlapped: sees snapshot b1-2
-    BlockResult r1, r2;
-    EXPECT_OK(proto_->Commit(b1, &r1));
-    EXPECT_OK(proto_->Commit(b2, &r2));
-    return {r1, r2};
+    auto r = ExecuteChain({std::move(first), std::move(second)});
+    return {r[0].second, r[1].second};
+  }
+
+  /// Runs a chain of blocks in the replica's pipelined order: with an
+  /// inter-block protocol Simulate(i+1) runs on another thread while
+  /// Commit(i) runs, except that a barrier follower waits for the barrier
+  /// block's commit (Replica::ExecuteBlockPipelined). Returns each block's
+  /// batch and result.
+  std::vector<std::pair<TxnBatch, BlockResult>> ExecuteChain(
+      const std::vector<std::vector<TxnRequest>>& blocks) {
+    const size_t barrier = proto_->config().barrier_every;
+    std::vector<std::pair<TxnBatch, BlockResult>> out(blocks.size());
+    for (size_t i = 0; i < blocks.size(); i++) {
+      TxnBatch& b = out[i].first;
+      b.block_id = ++last_block_;
+      b.first_tid = next_tid_;
+      b.txns = blocks[i];
+      next_tid_ += b.txns.size();
+    }
+    auto overlaps = [&](const TxnBatch& next) {
+      const BlockId id = next.block_id;
+      return proto_->supports_inter_block() &&
+             !(barrier != 0 && id > 1 && (id - 1) % barrier == 0);
+    };
+    if (!out.empty()) EXPECT_OK(proto_->Simulate(out[0].first));
+    for (size_t i = 0; i < out.size(); i++) {
+      const TxnBatch* next = i + 1 < out.size() ? &out[i + 1].first : nullptr;
+      std::thread sim;
+      if (next != nullptr && overlaps(*next)) {
+        sim = std::thread([&] { EXPECT_OK(proto_->Simulate(*next)); });
+      }
+      EXPECT_OK(proto_->Commit(out[i].first, &out[i].second));
+      if (sim.joinable()) {
+        sim.join();
+      } else if (next != nullptr) {
+        EXPECT_OK(proto_->Simulate(*next));
+      }
+    }
+    return out;
+  }
+
+  /// Encoded latest state, for byte-level comparisons.
+  std::map<Key, std::string> RawState() {
+    std::map<Key, std::string> out;
+    EXPECT_OK(backend_.ScanAll(
+        [&](Key k, std::string_view v) { out[k] = std::string(v); }));
+    return out;
   }
 
   int64_t Field0(Key k) {
@@ -334,13 +373,12 @@ TEST(Harmony, InsertAndEraseAcrossBlocks) {
   EXPECT_FALSE(e.Exists(100));
 }
 
-TEST(Harmony, InterBlockDependencyPolicyFigure6) {
-  // Block i: T1 reads y & writes x (via read_then_set), T2 reads x (writes z)
-  // => T1 intra-rw<- T2? We need: T1 <-intra-rw- T2 and T2 <-inter-rw- T3.
-  // Construct: block i: T1 writes a (set), T2 reads a + writes b.
-  //   => T1 rw<- T2 (T2 read T1's before-image of a), with T1.tid < T2.tid.
-  // Block i+1 (pipelined, snapshot i-1): T3 reads b (written by T2 in i).
-  //   => T2 inter-rw<- T3. Generalized structure => abort T3 (policy ii).
+TEST(Harmony, InterBlockStaleReadOfChainedWriteIsRepaired) {
+  // Block i: T1 sets a, T2 reads a's before-image and sets b = a + 1
+  // (T1 <-rw- T2 inside the block; both commit, b = 1).
+  // Block i+1 (pipelined, snapshot i-1): T3 reads b and sets z = b + 1.
+  // T3's read of b went stale when block i committed; the paper's Figure 6
+  // policy aborts T3. The repair re-simulates it against snapshot i: z = 2.
   Engine e(DccKind::kHarmony, {});
   e.Load(1, 0);  // a
   e.Load(2, 0);  // b
@@ -354,14 +392,15 @@ TEST(Harmony, InterBlockDependencyPolicyFigure6) {
           Req(5, {2, 3, 1}),  // T3: read b, set z
       });
   EXPECT_EQ(r1.committed, 2u);  // T2's min_out=1 but max_in=0: commits
-  EXPECT_EQ(r2.cc_aborted, 1u);  // T3 aborted by the enhanced rule
-  EXPECT_EQ(e.Field0(3), 0);
+  EXPECT_EQ(r2.committed, 1u);
+  EXPECT_EQ(r2.repaired, 1u);
+  EXPECT_EQ(e.Field0(2), 1);
+  EXPECT_EQ(e.Field0(3), 2);  // T3 saw b as block i left it
 }
 
-TEST(Harmony, InterBlockCleanReadBeforeImageCommits) {
-  // T in block i+1 reads a key written by a "clean" writer W of block i
-  // (W has no backward edges) and writes elsewhere: T commits, serialized
-  // before W — its read of the before-image is consistent.
+TEST(Harmony, InterBlockStaleReadSeesPreviousBlockWrite) {
+  // T in block i+1 reads a key a writer W of block i wrote: after the
+  // repair T reads W's value, not the before-image of snapshot i-1.
   Engine e(DccKind::kHarmony, {});
   e.Load(1, 10);
   e.Load(5, 0);
@@ -370,17 +409,19 @@ TEST(Harmony, InterBlockCleanReadBeforeImageCommits) {
       {Req(5, {1, 5, 0})});    // T: read a, set k5 = read + 0
   EXPECT_EQ(r1.committed, 1u);
   EXPECT_EQ(r2.committed, 1u);
+  EXPECT_EQ(r2.repaired, 1u);
   EXPECT_EQ(e.Field0(1), 99);
-  EXPECT_EQ(e.Field0(5), 10);  // T saw the before-image, consistent with T<W
+  EXPECT_EQ(e.Field0(5), 99);  // T serialized after W
 }
 
-TEST(Harmony, InterBlockWwGuardAborts) {
-  // T in block i+1 reads W's before-image AND writes a key W wrote: 2-cycle
-  // (T -rw-> W -ww-> T); the later transaction must abort.
+TEST(Harmony, InterBlockStaleReadAndOverwriteCommitsRepaired) {
+  // T in block i+1 reads a key W of block i wrote AND overwrites another
+  // key W wrote. On the stale snapshot this is a 2-cycle (T -rw-> W -ww->
+  // T) that the Figure 6 policy aborts; repaired, T simply follows W.
   Engine e(DccKind::kHarmony, {});
   e.Load(1, 10);
   e.Load(2, 0);
-  // W writes both a and b; T reads a (before-image) and writes b.
+  // W writes both a and b; T reads a and writes b.
   e.mutable_procs()->Register(12, "w_ab", [](TxnContext& ctx, const ProcArgs&) {
         ctx.SetField(1, 0, 99);
         ctx.SetField(2, 0, 50);
@@ -390,8 +431,22 @@ TEST(Harmony, InterBlockWwGuardAborts) {
       {Req(12, {})},
       {Req(5, {1, 2, 0})});  // T: read a, set b
   EXPECT_EQ(r1.committed, 1u);
-  EXPECT_EQ(r2.cc_aborted, 1u);
-  EXPECT_EQ(e.Field0(2), 50);  // W's value stands
+  EXPECT_EQ(r2.committed, 1u);
+  EXPECT_EQ(r2.repaired, 1u);
+  EXPECT_EQ(e.Field0(2), 99);  // T's b = a + 0, over W's 50
+}
+
+TEST(Harmony, InterBlockFreshReadIsNotRepaired) {
+  // A read set disjoint from block i's writes is already exact.
+  Engine e(DccKind::kHarmony, {});
+  e.Load(1, 10);
+  e.Load(2, 20);
+  e.Load(5, 0);
+  auto [r1, r2] = e.ExecutePipelined({Req(4, {1, 99})},
+                                     {Req(5, {2, 5, 1})});
+  EXPECT_EQ(r2.committed, 1u);
+  EXPECT_EQ(r2.repaired, 0u);
+  EXPECT_EQ(e.Field0(5), 21);
 }
 
 TEST(Harmony, TableThreeHitRateCountsDangerousStructures) {
@@ -563,6 +618,107 @@ INSTANTIATE_TEST_SUITE_P(
       s += info.param.inter_block ? "_inter" : "_nointer";
       return s;
     });
+
+// ---- Inter-block parallelism: repair equivalence ---------------------
+
+/// A random contended chain over keys 1..keys (transfers, blind and
+/// read-dependent writes, split RMWs, inserts and erases).
+std::vector<std::vector<TxnRequest>> RandomChain(Rng* rng, int blocks,
+                                                 int per_block, int64_t keys) {
+  std::vector<std::vector<TxnRequest>> chain(blocks);
+  for (auto& txns : chain) {
+    for (int i = 0; i < per_block; i++) {
+      const int64_t k1 = rng->UniformRange(1, keys);
+      const int64_t k2 = rng->UniformRange(1, keys);
+      switch (rng->Uniform(8)) {
+        case 0: txns.push_back(Req(1, {k1, k2})); break;
+        case 1: txns.push_back(Req(2, {k1, rng->UniformRange(-9, 9)})); break;
+        case 2: txns.push_back(Req(4, {k1, rng->UniformRange(0, 99)})); break;
+        case 3: txns.push_back(Req(5, {k1, k2, rng->UniformRange(0, 9)})); break;
+        case 4: txns.push_back(Req(6, {k1, k2, rng->UniformRange(0, 40)})); break;
+        case 5: txns.push_back(Req(8, {k1, rng->UniformRange(0, 99)})); break;
+        case 6: txns.push_back(Req(9, {k2})); break;
+        default: txns.push_back(Req(7, {k1})); break;
+      }
+    }
+  }
+  return chain;
+}
+
+TEST(HarmonyInterBlock, RepairedPipelineEqualsInterBlockOff) {
+  // With the repair, inter-block parallelism only overlaps work: per-block
+  // outcomes and the final state match the lag-1 chain exactly, for any
+  // thread count and straggler timing, across checkpoint barriers.
+  constexpr size_t kBarrier = 3;
+  uint64_t repaired = 0;
+  for (uint64_t seed = 1; seed <= 6; seed++) {
+    Rng rng(seed * 7919);
+    const auto chain = RandomChain(&rng, 14, 12, 10);
+    DccConfig off;
+    off.harmony_inter_block = false;
+    DccConfig on;
+    DccConfig on_jitter;
+    on_jitter.straggler_prob = 0.2;
+    on_jitter.straggler_us = 200;
+    Engine ref(DccKind::kHarmony, off, 1, kBarrier);
+    Engine a(DccKind::kHarmony, on, 1, kBarrier);
+    Engine b(DccKind::kHarmony, on_jitter, 8, kBarrier);
+    for (Key k = 1; k <= 10; k++) {
+      const int64_t v = rng.UniformRange(0, 60);
+      ref.Load(k, v);
+      a.Load(k, v);
+      b.Load(k, v);
+    }
+    const auto rr = ref.ExecuteChain(chain);
+    const auto ra = a.ExecuteChain(chain);
+    const auto rb = b.ExecuteChain(chain);
+    for (size_t i = 0; i < chain.size(); i++) {
+      ASSERT_EQ(rr[i].second.outcomes, ra[i].second.outcomes)
+          << "seed " << seed << " block " << i + 1;
+      ASSERT_EQ(rr[i].second.outcomes, rb[i].second.outcomes)
+          << "seed " << seed << " block " << i + 1;
+      EXPECT_EQ(rr[i].second.repaired, 0u);
+      EXPECT_EQ(ra[i].second.repaired, rb[i].second.repaired);
+      repaired += ra[i].second.repaired;
+    }
+    const auto state = ref.RawState();
+    EXPECT_EQ(state, a.RawState()) << "seed " << seed;
+    EXPECT_EQ(state, b.RawState()) << "seed " << seed;
+  }
+  EXPECT_GT(repaired, 0u) << "the chains never exercised the repair";
+}
+
+TEST(HarmonyInterBlock, MultiBlockChainMatchesSerialReplay) {
+  // Replaying the committed transactions block by block, each block in its
+  // equivalent_serial_order, reproduces the engine's state.
+  for (bool inter : {true, false}) {
+    for (uint64_t seed = 1; seed <= 4; seed++) {
+      Rng rng(seed * 104729 + inter);
+      const auto chain = RandomChain(&rng, 12, 10, 8);
+      DccConfig cfg;
+      cfg.harmony_inter_block = inter;
+      cfg.straggler_prob = 0.2;
+      cfg.straggler_us = 200;
+      Engine e(DccKind::kHarmony, cfg, 8, /*barrier_every=*/4);
+      SerialEngine serial(&e.procs());
+      for (Key k = 1; k <= 8; k++) {
+        const int64_t v = rng.UniformRange(0, 60);
+        e.Load(k, v);
+        serial.state[k] = Value({v});
+      }
+      for (const auto& [batch, res] : e.ExecuteChain(chain)) {
+        ASSERT_EQ(res.equivalent_serial_order.size(), res.committed);
+        for (TxnId tid : res.equivalent_serial_order) {
+          EXPECT_TRUE(serial.Run(batch.txns[tid - batch.first_tid]))
+              << "committed txn logic-aborted in serial replay (block "
+              << batch.block_id << ", seed " << seed << ")";
+        }
+      }
+      EXPECT_EQ(e.Snapshot(), serial.state)
+          << (inter ? "inter" : "nointer") << " seed " << seed;
+    }
+  }
+}
 
 // ---- Baselines ---------------------------------------------------------
 

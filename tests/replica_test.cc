@@ -150,6 +150,55 @@ TEST(Replica, RecoveryIsIdempotent) {
   }
 }
 
+TEST(Replica, RecoverFailsOnCorruptPreCheckpointRecordBeforeReplay) {
+  TempDir dir("recov-corrupt");
+  const ReplicaOptions opts = FastOptions(dir.path(), DccKind::kHarmony);
+  KafkaOrderer ord("orderer-secret", NetworkModel{});
+  {
+    Replica r(opts);
+    ASSERT_OK(r.Open());
+    RegisterCounterProc(r);
+    ASSERT_OK(r.LoadRow(1, Value({0})));
+    ASSERT_OK(r.Checkpoint());
+    for (int b = 0; b < 8; b++) {
+      ASSERT_OK(r.SubmitBlock(NextBlock(ord, {Incr(1, 1)})));
+    }
+    ASSERT_OK(r.Drain());
+    // Crash: state through the checkpoint at block 5 is durable; blocks
+    // 6..8 live only in the log.
+  }
+  // Rewrite the log with block 2 tampered after sealing. The records stay
+  // CRC-valid, so the open scan keeps them and only the audit can object.
+  const std::string chain = dir.path() + "/" + opts.name + ".chain";
+  {
+    std::vector<Block> blocks;
+    {
+      BlockStore store(chain);
+      ASSERT_OK(store.Open());
+      ASSERT_OK(store.ReadAll(&blocks));
+    }
+    ASSERT_EQ(blocks.size(), 8u);
+    blocks[1].batch.txns[0].args.ints[1] = 1000;
+    ASSERT_EQ(std::remove(chain.c_str()), 0);
+    BlockStore store(chain);
+    ASSERT_OK(store.Open());
+    for (const Block& b : blocks) ASSERT_OK(store.Append(b));
+  }
+  Replica r(opts);
+  ASSERT_OK(r.Open());
+  RegisterCounterProc(r);
+  size_t replayed = 0;
+  r.SetCommitCallback([&](const Block&, const BlockResult&) { replayed++; });
+  auto tip = r.Recover();
+  EXPECT_TRUE(tip.status().IsCorruption()) << tip.status().ToString();
+  EXPECT_EQ(replayed, 0u);
+  EXPECT_EQ(r.last_committed(), 0u);
+  std::optional<Value> v;
+  ASSERT_OK(r.Query(1, &v));
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(v->field(0), 5);  // the checkpointed state, nothing replayed
+}
+
 class ClusterConsistencyTest : public ::testing::TestWithParam<DccKind> {};
 
 TEST_P(ClusterConsistencyTest, TwoReplicasStayConsistent) {

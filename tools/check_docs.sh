@@ -85,7 +85,7 @@ if [[ -f "$obs_doc" ]]; then
       echo "stale metric in docs/OBSERVABILITY.md: $tok (no literal in src/obs/)" >&2
       status=1
     fi
-  done < <(grep -ohE '\b(txn|block|ingest|net|chain|repl|storage)\.[a-z0-9_.]+\b' "$obs_doc" | sort -u)
+  done < <(grep -ohE '\b(txn|block|ingest|net|chain|repl|storage|dcc)\.[a-z0-9_.]+\b' "$obs_doc" | sort -u)
 fi
 
 if [[ $status -eq 0 ]]; then
