@@ -20,9 +20,7 @@
 
 #include "bench/cluster_util.h"
 #include "bench/harness.h"
-#include "common/histogram.h"
 #include "common/rng.h"
-#include "common/spin_lock.h"
 #include "net/client.h"
 #include "workload/smallbank.h"
 #include "workload/ycsb.h"
@@ -79,7 +77,7 @@ int RunFigure(const std::string& title,
 struct WireLoadResult {
   double wall_s = 0;
   uint64_t committed = 0;
-  Histogram latency_us;
+  obs::LatencyHistogram latency_us;
 };
 
 /// Open-loop blind increments against the leader, same shape as
@@ -87,7 +85,6 @@ struct WireLoadResult {
 WireLoadResult DriveLeader(uint16_t port, size_t conns, size_t per_conn,
                            size_t window) {
   WireLoadResult res;
-  SpinLock mu;
   std::atomic<uint64_t> committed{0};
   Timer wall;
   std::vector<std::thread> threads;
@@ -111,8 +108,7 @@ WireLoadResult DriveLeader(uint16_t port, size_t conns, size_t per_conn,
         (*client)->Submit(std::move(t), [&](const TxnReceipt& r) {
           if (r.outcome == ReceiptOutcome::kCommitted) {
             committed.fetch_add(1, std::memory_order_relaxed);
-            std::lock_guard<SpinLock> lk(mu);
-            res.latency_us.Add(static_cast<double>(r.latency_us));
+            res.latency_us.Record(r.latency_us);
           }
         });
       }
@@ -206,7 +202,7 @@ int RunWireFigure(const std::string& harmonyd_flag) {
                       ? static_cast<double>(r.committed) / r.wall_s / 1e3
                       : 0,
                   1),
-              Fmt(r.latency_us.Percentile(50) / 1e3, 2),
+              Fmt(r.latency_us.Snap().Percentile(50) / 1e3, 2),
               std::to_string(r.committed)});
     std::filesystem::remove_all(root);
   }

@@ -1,10 +1,17 @@
 #include "bench/harness.h"
 
+#include <sys/resource.h>
 #include <unistd.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <filesystem>
 #include <mutex>
+#include <thread>
+
+#include "common/clock.h"
+#include "core/harmonybc.h"
 
 namespace harmony {
 namespace bench {
@@ -109,6 +116,34 @@ std::vector<SystemSpec> RelationalSystems() {
   return {RbcSpec(), AriaSpec(), HarmonySpec()};
 }
 
+namespace {
+
+/// Replicas the network model charges for (the paper's default cluster).
+constexpr uint32_t kReplicas = 4;
+
+double ProcessCpuSeconds() {
+  struct rusage ru;
+  getrusage(RUSAGE_SELF, &ru);
+  auto tv = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) +
+           static_cast<double>(t.tv_usec) / 1e6;
+  };
+  return tv(ru.ru_utime) + tv(ru.ru_stime);
+}
+
+/// Closed-loop bookkeeping: the driver waits on `cv` for a free window slot;
+/// receipts (replica commit thread) free slots and tally outcomes.
+struct ClosedLoop {
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t inflight = 0;
+  std::vector<uint8_t> receipts;  ///< per client_seq (1-based) receipt count
+  uint64_t duplicates = 0;
+  uint64_t committed = 0, logic_aborted = 0, dropped = 0, rejected = 0;
+};
+
+}  // namespace
+
 Result<RunReport> RunPoint(
     const BenchParams& params,
     const std::function<std::unique_ptr<Workload>()>& make_workload) {
@@ -119,49 +154,142 @@ Result<RunReport> RunPoint(
         std::to_string(run_counter++)))
           .string();
   std::filesystem::create_directories(dir);
+  struct RemoveDir {
+    const std::string& dir;
+    ~RemoveDir() {
+      std::error_code ec;
+      std::filesystem::remove_all(dir, ec);
+    }
+  } remove_dir{dir};
 
   std::unique_ptr<Workload> workload = make_workload();
 
-  ClusterOptions co;
-  co.dir = dir;
-  co.replica.dir = dir;
-  co.replica.dcc = params.system.kind;
-  co.replica.dcc_cfg = params.system.cfg;
-  co.replica.dcc_cfg.enable_false_abort_oracle = params.false_abort_oracle;
-  co.replica.disk = params.disk;
-  co.replica.in_memory = params.in_memory;
-  co.replica.pool_pages = params.pool_pages;
-  co.replica.threads = params.threads;
-  co.replica.checkpoint_every = params.checkpoint_every;
-  co.live_replicas = 1;
-  co.total_replicas = params.total_replicas;
-  co.block_size = params.block_size;
-  co.consensus = params.consensus;
-  co.net.wan = params.wan;
-  co.net.bandwidth_gbps = params.bandwidth_gbps;
-  co.net.nodes = params.total_replicas;
-  if (params.system.sov) co.sov_rwset_bytes = workload->avg_rwset_bytes();
-
-  Cluster cluster(co);
-  HARMONY_RETURN_NOT_OK(
-      cluster.Open([&](Replica& r) { return workload->Setup(r); }));
+  HarmonyBC::Options o;
+  o.dir = dir;
+  o.protocol = params.system.kind;
+  o.dcc = params.system.cfg;
+  o.dcc.enable_false_abort_oracle = params.false_abort_oracle;
+  o.disk = params.disk;
+  o.in_memory = params.in_memory;
+  o.pool_pages = params.pool_pages;
+  o.threads = params.threads;
+  o.checkpoint_every = params.checkpoint_every;
+  o.block_size = params.block_size;
+  o.max_txn_retries = 20;
+  // Seals the retry tail and the last partial block; a full window always
+  // fills a block first.
+  o.max_block_delay_us = 1000;
+  auto opened = HarmonyBC::Open(o);
+  HARMONY_RETURN_NOT_OK(opened.status());
+  std::unique_ptr<HarmonyBC> db = std::move(*opened);
+  HARMONY_RETURN_NOT_OK(workload->Setup(*db->replica()));
   // Flush the load so the run starts from a checkpointed, disk-resident
   // state (the measured phase pays real buffer-pool misses).
-  HARMONY_RETURN_NOT_OK(cluster.replica(0)->Checkpoint());
+  HARMONY_RETURN_NOT_OK(db->replica()->Checkpoint());
 
-  size_t remaining = params.total_txns;
-  auto report = cluster.Run(
-      [&](TxnRequest* out) {
-        if (remaining == 0) return false;
-        remaining--;
-        *out = workload->Next();
-        return true;
-      },
-      workload->avg_txn_bytes());
+  // Closed loop of two blocks: one block executes while the next fills. A
+  // one-block window starves the pipeline; a wider one only adds queueing.
+  const size_t window = 2 * params.block_size;
+  ClosedLoop loop;
+  loop.receipts.assign(params.total_txns + 1, 0);
+  obs::LatencyHistogram latency_us;
+  auto on_receipt = [&](const TxnReceipt& r) {
+    std::lock_guard<std::mutex> lk(loop.mu);
+    if (r.client_seq == 0 || r.client_seq > params.total_txns ||
+        loop.receipts[r.client_seq]++ != 0) {
+      loop.duplicates++;
+      return;
+    }
+    switch (r.outcome) {
+      case ReceiptOutcome::kCommitted:
+        loop.committed++;
+        latency_us.Record(r.latency_us);
+        break;
+      case ReceiptOutcome::kLogicAborted: loop.logic_aborted++; break;
+      case ReceiptOutcome::kDropped: loop.dropped++; break;
+      case ReceiptOutcome::kRejected: loop.rejected++; break;
+    }
+    loop.inflight--;
+    loop.cv.notify_one();
+  };
 
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
-  return report;
+  std::unique_ptr<Session> session = db->OpenSession();
+  const double cpu_before = ProcessCpuSeconds();
+  Timer wall;
+  bool settled = false;
+  {
+    std::unique_lock<std::mutex> lk(loop.mu);
+    for (size_t sent = 0; sent < params.total_txns; sent++) {
+      loop.cv.wait(lk, [&] { return loop.inflight < window; });
+      loop.inflight++;
+      lk.unlock();
+      // A synchronous rejection runs on_receipt on this thread.
+      session->Submit(workload->Next(), on_receipt);
+      lk.lock();
+    }
+    settled = loop.cv.wait_for(lk, std::chrono::minutes(10),
+                               [&] { return loop.inflight == 0; });
+  }
+  const double wall_s = wall.ElapsedSeconds();
+  const double cpu_s = ProcessCpuSeconds() - cpu_before;
+  const obs::MetricsSnapshot snap = db->CollectMetrics();
+  // Stops the sealer and the commit thread: no receipt callback runs after
+  // this, so the locals it captures may go.
+  session.reset();
+  db.reset();
+
+  if (!settled) return Status::Busy("receipts still pending after 10 min");
+  if (loop.duplicates != 0 ||
+      loop.committed + loop.logic_aborted + loop.dropped + loop.rejected !=
+          params.total_txns) {
+    return Status::Corruption(
+        "receipt ledger: " + std::to_string(loop.duplicates) +
+        " duplicate, " +
+        std::to_string(params.total_txns - loop.committed -
+                       loop.logic_aborted - loop.dropped - loop.rejected) +
+        " missing");
+  }
+
+  RunReport rep;
+  rep.exec_tps = wall_s > 0 ? static_cast<double>(loop.committed) / wall_s : 0;
+  auto counter = [&snap](const char* name) -> double {
+    for (const auto& c : snap.counters) {
+      if (c.name == name) return static_cast<double>(c.value);
+    }
+    return 0;
+  };
+  const double simulated = counter(obs::kCounterDccSimulated);
+  if (simulated > 0) {
+    rep.abort_rate = counter(obs::kCounterDccCcAborted) / simulated;
+    rep.false_abort_rate = counter(obs::kCounterDccFalseAborts) / simulated;
+    rep.dangerous_hit_rate = counter(obs::kCounterDccDangerousHits) / simulated;
+    rep.repaired_rate = counter(obs::kCounterDccRepaired) / simulated;
+  }
+  rep.mean_latency_ms = latency_us.Snap().Mean() / 1e3;
+  // CPU utilization relative to the cores actually available: simulated I/O
+  // sleeps release the CPU, so idle gaps show up here exactly as they would
+  // in the paper's CPU-utilization row (Figure 20).
+  const double cores = std::max(1u, std::thread::hardware_concurrency());
+  rep.cpu_util = wall_s > 0 ? std::min(1.0, cpu_s / (wall_s * cores)) : 0;
+
+  NetworkModel net;
+  net.nodes = kReplicas;
+  net.bandwidth_gbps = params.bandwidth_gbps;
+  const ConsensusProfile profile = KafkaOrderer("s", net).Profile(
+      params.block_size, workload->avg_txn_bytes());
+  rep.consensus_cap_tps = profile.max_txns_per_sec;
+  rep.consensus_latency_ms =
+      static_cast<double>(profile.block_latency_us) / 1e3;
+  if (params.system.sov) {
+    // SOV ships signed read-write sets: client -> orderer -> every replica.
+    const double per_txn_us = static_cast<double>(
+        net.TransferUs(workload->avg_rwset_bytes() * kReplicas));
+    rep.sov_cap_tps = per_txn_us > 0 ? 1e6 / per_txn_us : 0;
+    // Extra endorsement round trip (client -> endorser -> client).
+    rep.consensus_latency_ms +=
+        2.0 * static_cast<double>(net.lan_one_way_us) / 1e3;
+  }
+  return rep;
 }
 
 namespace {

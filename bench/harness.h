@@ -1,13 +1,14 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "consensus/orderer.h"
 #include "obs/metrics.h"
-#include "replica/cluster.h"
 #include "workload/workload.h"
 
 namespace harmony {
@@ -47,16 +48,44 @@ struct BenchParams {
   size_t pool_pages = 96;       ///< deliberately smaller than the hot set
   DiskModel disk = DiskModel::Ssd();
   bool in_memory = false;
-  uint32_t total_replicas = 4;
-  ConsensusKind consensus = ConsensusKind::kKafka;
-  bool wan = false;
   double bandwidth_gbps = 1.0;
   bool false_abort_oracle = false;
   size_t checkpoint_every = 10;
 };
 
-/// Runs one (system, workload, parameters) point and returns the report.
-/// The workload factory is invoked once; its Setup runs on each replica.
+/// Outcome of one RunPoint.
+struct RunReport {
+  // Database layer, measured through the HarmonyBC session pipeline.
+  double exec_tps = 0;          ///< committed txns / wall second
+  double abort_rate = 0;        ///< dcc.cc_aborted / dcc.simulated
+  double false_abort_rate = 0;  ///< dcc.false_aborts / dcc.simulated
+  double dangerous_hit_rate = 0;  ///< dcc.dangerous_hits / dcc.simulated
+  double repaired_rate = 0;     ///< dcc.repaired / dcc.simulated
+  double mean_latency_ms = 0;   ///< receipt latency_us of committed txns
+  double cpu_util = 0;          ///< process CPU / (wall * cores)
+
+  // Modelled network/consensus ceilings (Section 5.4/5.5 sweeps).
+  double consensus_cap_tps = 0;
+  double sov_cap_tps = 0;       ///< rw-set broadcast ceiling (SOV only)
+  double consensus_latency_ms = 0;
+
+  /// End-to-end throughput: execution throughput clipped by the consensus
+  /// and (for SOV) rw-set distribution ceilings.
+  double end_to_end_tps() const {
+    double t = exec_tps;
+    if (consensus_cap_tps > 0) t = std::min(t, consensus_cap_tps);
+    if (sov_cap_tps > 0) t = std::min(t, sov_cap_tps);
+    return t;
+  }
+  double end_to_end_latency_ms() const {
+    return mean_latency_ms + consensus_latency_ms;
+  }
+};
+
+/// Runs one (system, workload, parameters) point through a HarmonyBC
+/// session and returns the report. The workload factory is invoked once;
+/// its Setup loads the replica before the run. The point fails unless
+/// every submitted transaction got exactly one receipt.
 Result<RunReport> RunPoint(const BenchParams& params,
                            const std::function<std::unique_ptr<Workload>()>&
                                make_workload);

@@ -46,7 +46,6 @@
 #include "bench/cluster_util.h"
 #include "bench/harness.h"
 #include "common/clock.h"
-#include "common/histogram.h"
 #include "common/rng.h"
 #include "common/spin_lock.h"
 #include "core/harmonybc.h"
@@ -103,7 +102,7 @@ struct RunResult {
   uint64_t dropped = 0;
   uint64_t lost = 0;        ///< submits that never resolved
   uint64_t duplicated = 0;  ///< receipts delivered twice for one seq
-  Histogram latency_us;     ///< submit -> receipt, committed only
+  obs::LatencyHistogram latency_us;  ///< submit -> receipt, committed only
 };
 
 /// In-process baseline: same connection/txn/window shape, but through
@@ -111,7 +110,6 @@ struct RunResult {
 RunResult RunInProcess(size_t conns, size_t txns_per_conn, size_t window) {
   auto db = OpenDb("local");
   RunResult res;
-  SpinLock mu;
   std::atomic<uint64_t> committed{0}, rejected{0}, dropped{0};
   Timer wall;
   std::vector<std::thread> threads;
@@ -131,8 +129,7 @@ RunResult RunInProcess(size_t conns, size_t txns_per_conn, size_t window) {
           switch (r.outcome) {
             case ReceiptOutcome::kCommitted: {
               committed.fetch_add(1, std::memory_order_relaxed);
-              std::lock_guard<SpinLock> lk(mu);
-              res.latency_us.Add(static_cast<double>(r.latency_us));
+              res.latency_us.Record(r.latency_us);
               break;
             }
             case ReceiptOutcome::kRejected:
@@ -160,7 +157,6 @@ RunResult RunInProcess(size_t conns, size_t txns_per_conn, size_t window) {
 RunResult RunWire(uint16_t port, size_t conns, size_t txns_per_conn,
                   size_t window, size_t batch, uint64_t batch_delay_us) {
   RunResult res;
-  SpinLock mu;
   std::atomic<uint64_t> committed{0}, rejected{0}, dropped{0};
   std::atomic<uint64_t> duplicated{0}, resolved{0};
   Timer wall;
@@ -201,8 +197,7 @@ RunResult RunWire(uint16_t port, size_t conns, size_t txns_per_conn,
           switch (r.outcome) {
             case ReceiptOutcome::kCommitted: {
               committed.fetch_add(1, std::memory_order_relaxed);
-              std::lock_guard<SpinLock> lk(mu);
-              res.latency_us.Add(static_cast<double>(r.latency_us));
+              res.latency_us.Record(r.latency_us);
               break;
             }
             case ReceiptOutcome::kRejected:
@@ -234,11 +229,11 @@ RunResult RunWire(uint16_t port, size_t conns, size_t txns_per_conn,
 
 void PrintResult(const char* label, size_t conns, const RunResult& r,
                  uint64_t total) {
+  const obs::HistogramSnapshot lat = r.latency_us.Snap();
   PrintRow({label, std::to_string(conns),
             Fmt(r.wall_s > 0 ? static_cast<double>(total) / r.wall_s / 1e3
                              : 0),
-            Fmt(r.latency_us.Percentile(50) / 1e3, 2),
-            Fmt(r.latency_us.Percentile(99) / 1e3, 2),
+            Fmt(lat.Percentile(50) / 1e3, 2), Fmt(lat.Percentile(99) / 1e3, 2),
             std::to_string(r.committed) + "/" + std::to_string(r.rejected) +
                 "/" + std::to_string(r.dropped),
             std::to_string(r.lost) + "/" + std::to_string(r.duplicated)});
@@ -300,7 +295,7 @@ int RunCluster(size_t replicas, const std::string& harmonyd_flag,
   // cross-node clock arithmetic and no bespoke per-height bookkeeping —
   // these are the same numbers `harmonyd cluster-status` scrapes.
   std::atomic<bool> mon_stop{false};
-  Histogram lag_blocks;
+  obs::LatencyHistogram lag_blocks;
   const uint16_t leader_port = nodes[0].port;  // the leader is never killed
   const std::string lag_prefix =
       std::string(obs::kGaugePeerLagBlocks) + ".";
@@ -323,8 +318,9 @@ int RunCluster(size_t replicas, const std::string& harmonyd_flag,
         continue;
       }
       for (const auto& g : snap->gauges) {
-        if (g.name.compare(0, lag_prefix.size(), lag_prefix) == 0)
-          lag_blocks.Add(static_cast<double>(g.value));
+        if (g.name.compare(0, lag_prefix.size(), lag_prefix) == 0 &&
+            g.value >= 0)
+          lag_blocks.Record(static_cast<uint64_t>(g.value));
       }
       ::usleep(5'000);
     }
@@ -418,14 +414,14 @@ int RunCluster(size_t replicas, const std::string& harmonyd_flag,
           "follower trails the leader tip)",
       {"nodes", "conns", "ktxn/s", "p50 ms", "p99 ms", "lag p50 blk",
        "lag p99 blk", "cmt/rej/drop", "lost/dup", "digests"});
+  const obs::HistogramSnapshot lat = r.latency_us.Snap();
+  const obs::HistogramSnapshot lag = lag_blocks.Snap();
   PrintRow({std::to_string(n_nodes), std::to_string(conns),
             Fmt(r.wall_s > 0
                     ? static_cast<double>(r.committed) / r.wall_s / 1e3
                     : 0),
-            Fmt(r.latency_us.Percentile(50) / 1e3, 2),
-            Fmt(r.latency_us.Percentile(99) / 1e3, 2),
-            Fmt(lag_blocks.Percentile(50), 1),
-            Fmt(lag_blocks.Percentile(99), 1),
+            Fmt(lat.Percentile(50) / 1e3, 2), Fmt(lat.Percentile(99) / 1e3, 2),
+            Fmt(lag.Percentile(50), 1), Fmt(lag.Percentile(99), 1),
             std::to_string(r.committed) + "/" + std::to_string(r.rejected) +
                 "/" + std::to_string(r.dropped),
             std::to_string(r.lost) + "/" + std::to_string(r.duplicated),

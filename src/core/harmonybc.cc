@@ -48,7 +48,8 @@ Result<std::unique_ptr<HarmonyBC>> HarmonyBC::Open(const Options& options) {
   AdmissionOptions ao;
   ao.rate_per_client_tps = options.admit_rate_per_client;
   ao.demote_over_rate = options.demote_over_rate;
-  db->admission_ = std::make_unique<AdmissionController>(ao);
+  db->admission_ = std::make_unique<AdmissionController>(
+      ao, &db->replica_->procedures());
 
   MempoolOptions mo;
   mo.capacity = options.mempool_capacity;
@@ -306,6 +307,8 @@ obs::MetricsSnapshot HarmonyBC::CollectMetrics() {
     sync(obs::kCounterDccCcAborted, dcc.cc_aborted.load());
     sync(obs::kCounterDccLogicAborted, dcc.logic_aborted.load());
     sync(obs::kCounterDccRepaired, dcc.repaired.load());
+    sync(obs::kCounterDccDangerousHits, dcc.dangerous_hits.load());
+    sync(obs::kCounterDccFalseAborts, dcc.false_aborts.load());
   }
   obs::MetricsSnapshot snap = metrics_->Snapshot();
   snap.slow_txns = tracer_->SlowTxns();

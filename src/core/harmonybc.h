@@ -56,8 +56,8 @@ namespace harmony {
 /// lane automatically; exhausting Options::max_txn_retries resolves the
 /// receipt as dropped.
 ///
-/// For multi-replica deployments and benchmarks use Cluster (replica/),
-/// which feeds several Replica instances the same ordered chain.
+/// The paper-figure benches (bench/harness.cc) and perfbench drive this same
+/// session pipeline; multi-node deployments replicate it with src/repl/.
 class HarmonyBC {
  public:
   struct Options {
@@ -139,9 +139,10 @@ class HarmonyBC {
 
   ~HarmonyBC();
 
-  /// Registers a stored procedure (smart contract).
+  /// Registers a stored procedure (smart contract). Procedures are
+  /// registered before traffic: admission validates proc ids against the
+  /// replica's registry, which is not locked against concurrent readers.
   void RegisterProcedure(uint32_t proc_id, std::string name, ProcedureFn fn) {
-    admission_->AllowProcedure(proc_id);
     replica_->RegisterProcedure(proc_id, std::move(name), std::move(fn));
   }
 

@@ -8,8 +8,9 @@
 
 namespace harmony {
 
-AdmissionController::AdmissionController(AdmissionOptions opts)
-    : opts_(opts) {
+AdmissionController::AdmissionController(AdmissionOptions opts,
+                                         const ProcedureRegistry* procs)
+    : opts_(opts), procs_(procs) {
   if (opts_.rate_per_client_tps > 0) {
     if (opts_.burst <= 0) {
       opts_.burst = opts_.rate_per_client_tps;  // one second of refill
@@ -18,11 +19,6 @@ AdmissionController::AdmissionController(AdmissionOptions opts)
     // fractional rate caps refills below the admission threshold).
     opts_.burst = std::max(1.0, opts_.burst);
   }
-}
-
-void AdmissionController::AllowProcedure(uint32_t proc_id) {
-  std::lock_guard<SpinLock> lk(procs_mu_);
-  procs_.insert(proc_id);
 }
 
 Status AdmissionController::Admit(const TxnRequest& req, uint64_t now_us,
@@ -39,13 +35,10 @@ Status AdmissionController::Admit(const TxnRequest& req, uint64_t now_us,
                                    std::to_string(req.args.blob.size()) +
                                    " bytes)");
   }
-  if (opts_.validate_procedures) {
-    std::lock_guard<SpinLock> lk(procs_mu_);
-    if (procs_.find(req.proc_id) == procs_.end()) {
-      stats_.rejected.fetch_add(1, std::memory_order_relaxed);
-      return Status::InvalidArgument("unknown procedure id " +
-                                     std::to_string(req.proc_id));
-    }
+  if (procs_->Find(req.proc_id) == nullptr) {
+    stats_.rejected.fetch_add(1, std::memory_order_relaxed);
+    return Status::InvalidArgument("unknown procedure id " +
+                                   std::to_string(req.proc_id));
   }
 
   if (opts_.rate_per_client_tps > 0) {

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/spin_lock.h"
 #include "common/status.h"
@@ -24,9 +23,6 @@ struct AdmissionOptions {
   /// client keeps making progress, but only in the low lane's weighted
   /// share of each block. Off = classic hard rate limiting.
   bool demote_over_rate = false;
-  /// Reject transactions whose proc_id was never registered. Off only for
-  /// drivers that feed raw workload streams below the procedure layer.
-  bool validate_procedures = true;
   size_t max_args = 256;           ///< max positional ints per request
   size_t max_blob_bytes = 1 << 20; ///< max opaque payload size
 };
@@ -63,13 +59,13 @@ struct IngestStats {
 /// clients rarely contend.
 class AdmissionController {
  public:
-  explicit AdmissionController(AdmissionOptions opts);
+  /// `procs` is the replica's procedure registry: a transaction naming an
+  /// unregistered proc_id is rejected. It must outlive the controller, and
+  /// procedures are registered before traffic (the registry is not locked).
+  AdmissionController(AdmissionOptions opts, const ProcedureRegistry* procs);
 
   AdmissionController(const AdmissionController&) = delete;
   AdmissionController& operator=(const AdmissionController&) = delete;
-
-  /// Registers a procedure id as valid (mirrors Replica::RegisterProcedure).
-  void AllowProcedure(uint32_t proc_id);
 
   /// Checks one transaction. Returns:
   ///  - OK               -> pass it to the mempool;
@@ -97,10 +93,8 @@ class AdmissionController {
   static constexpr size_t kBucketShards = 16;  ///< power of two
 
   AdmissionOptions opts_;
+  const ProcedureRegistry* procs_;
   IngestStats stats_;
-
-  SpinLock procs_mu_;
-  std::unordered_set<uint32_t> procs_;
 
   BucketShard bucket_shards_[kBucketShards];
 };

@@ -77,6 +77,11 @@ inline constexpr char kCounterDccCommitted[] = "dcc.committed";
 inline constexpr char kCounterDccCcAborted[] = "dcc.cc_aborted";
 inline constexpr char kCounterDccLogicAborted[] = "dcc.logic_aborted";
 inline constexpr char kCounterDccRepaired[] = "dcc.repaired";
+// Not outcomes: transactions that hit a backward dangerous structure, and
+// aborts the serializability oracle proves unnecessary (counted only with
+// DccConfig::enable_false_abort_oracle).
+inline constexpr char kCounterDccDangerousHits[] = "dcc.dangerous_hits";
+inline constexpr char kCounterDccFalseAborts[] = "dcc.false_aborts";
 
 // ---------------------------------------------------------------------------
 

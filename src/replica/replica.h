@@ -103,6 +103,8 @@ class Replica {
   /// Registers a stored procedure (smart contract). All replicas of a chain
   /// must register the same set.
   void RegisterProcedure(uint32_t proc_id, std::string name, ProcedureFn fn);
+  /// The registered procedures (admission validates proc ids against it).
+  const ProcedureRegistry& procedures() const { return procs_; }
 
   /// Feeds the next block. With an inter-block-parallel protocol this
   /// returns once the block's simulation has been scheduled (the previous

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "obs/events.h"
@@ -12,16 +13,14 @@
 namespace harmony {
 
 namespace {
-// Journal format v1 (legacy): magic1 | count | entries | magic1. Retired
-// eagerly at the end of Checkpoint() — which leaves a crash window against
-// an external commit record (see Checkpoint below); kept readable so a log
-// written by an older build still rolls back.
-constexpr uint64_t kJournalMagic = 0x4841524d4f4e5931ULL;  // "HARMONY1"
-// Journal format v2: magic2 | epoch | count | entries | magic2. The epoch
+// Rollback journal: magic | epoch | count | entries | magic. The epoch
 // (checkpointed block id + 1, so always >= 1) ties the journal to the
 // caller's commit record; rollback happens iff the epoch never committed.
-constexpr uint64_t kJournalMagic2 = 0x4841524d4f4e5932ULL;  // "HARMONY2"
-}
+// The trailing magic marks the journal complete. "HARMONY2" is the
+// format's version marker.
+constexpr uint64_t kJournalMagic = 0x4841524d4f4e5932ULL;  // "HARMONY2"
+constexpr off_t kJournalBody = 24;  ///< entries start after the header
+}  // namespace
 
 DiskBackend::DiskBackend(const std::string& dir, const std::string& name,
                          DiskModel model, size_t pool_pages,
@@ -51,82 +50,73 @@ Status DiskBackend::Erase(Key key, std::optional<std::string>* old_value) {
 }
 
 Status DiskBackend::WriteJournal(uint64_t commit_epoch) {
-  // Journal v2: magic2 | epoch | count | count * (page_id, page image) |
-  // magic2. The trailing magic commits the journal; a torn journal is
-  // ignored.
-  std::vector<PageId> dirty;
-  {
-    // The buffer pool does not expose dirty ids directly; conservatively
-    // journal the pre-image of every allocated page that differs... To keep
-    // the journal proportional to the dirty set, we reuse FlushAll's
-    // contract: pages that were written since the last checkpoint are dirty
-    // in the pool. We read their *on-disk* pre-images before FlushAll
-    // overwrites them.
-    dirty = pool_->DirtyPageIds();
-  }
+  // Journal the on-disk pre-image of every page dirty in the pool, read
+  // before FlushAll overwrites it: count * (page_id, page image).
+  const std::vector<PageId> dirty = pool_->DirtyPageIds();
   if (dirty.empty()) return Status::OK();
   int fd = ::open(journal_path_.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return Status::IOError("open journal");
-  const uint64_t count = dirty.size();
-  ::pwrite(fd, &kJournalMagic2, 8, 0);
-  ::pwrite(fd, &commit_epoch, 8, 8);
-  ::pwrite(fd, &count, 8, 16);
-  off_t off = 24;
-  Page img;
-  for (PageId pid : dirty) {
-    // Pre-image straight from disk, bypassing the pool and the device
-    // latency model (see DiskManager::ReadPageRaw).
-    HARMONY_RETURN_NOT_OK(disk_->ReadPageRaw(pid, &img));
-    uint64_t pid64 = pid;
-    ::pwrite(fd, &pid64, 8, off);
-    ::pwrite(fd, img.data, kPageSize, off + 8);
-    off += 8 + static_cast<off_t>(kPageSize);
-  }
-  // Trailing magic marks the journal complete (modelled flush; see
-  // DiskManager::Sync).
-  ::pwrite(fd, &kJournalMagic2, 8, off);
+  // Every write is checked: a journal cut short (ENOSPC, EFBIG) has no
+  // trailer, which rollback reads as "checkpoint never started" — so the
+  // checkpoint must fail here, before FlushAll touches a single page.
+  off_t off = 0;
+  auto put = [&](const void* data, size_t n) {
+    if (::pwrite(fd, data, n, off) != static_cast<ssize_t>(n)) return false;
+    off += static_cast<off_t>(n);
+    return true;
+  };
+  const Status s = [&]() -> Status {
+    const uint64_t count = dirty.size();
+    if (!put(&kJournalMagic, 8) || !put(&commit_epoch, 8) || !put(&count, 8)) {
+      return Status::IOError("journal header write failed");
+    }
+    Page img;
+    for (PageId pid : dirty) {
+      // Pre-image straight from disk, bypassing the pool and the device
+      // latency model (see DiskManager::ReadPageRaw).
+      HARMONY_RETURN_NOT_OK(disk_->ReadPageRaw(pid, &img));
+      const uint64_t pid64 = pid;
+      if (!put(&pid64, 8) || !put(img.data, kPageSize)) {
+        return Status::IOError("journal write failed at page " +
+                               std::to_string(pid));
+      }
+    }
+    // Trailing magic marks the journal complete (modelled flush; see
+    // DiskManager::Sync).
+    if (!put(&kJournalMagic, 8)) {
+      return Status::IOError("journal trailer write failed");
+    }
+    return Status::OK();
+  }();
   ::close(fd);
-  return Status::OK();
+  return s;
 }
 
 Status DiskBackend::RollbackJournalIfNeeded(uint64_t committed_epoch) {
   int fd = ::open(journal_path_.c_str(), O_RDONLY);
   if (fd < 0) return Status::OK();  // no journal, nothing to do
+  auto drop = [&] {
+    ::close(fd);
+    ::unlink(journal_path_.c_str());
+    return Status::OK();
+  };
   uint64_t magic = 0, epoch = 0, count = 0;
-  if (::pread(fd, &magic, 8, 0) != 8 ||
-      (magic != kJournalMagic && magic != kJournalMagic2)) {
-    ::close(fd);
-    ::unlink(journal_path_.c_str());
-    return Status::OK();  // torn/empty journal: previous checkpoint completed
+  if (::pread(fd, &magic, 8, 0) != 8 || magic != kJournalMagic ||
+      ::pread(fd, &epoch, 8, 8) != 8 || ::pread(fd, &count, 8, 16) != 8) {
+    return drop();  // torn/empty journal: previous checkpoint completed
   }
-  const bool v2 = magic == kJournalMagic2;
-  const off_t count_off = v2 ? 16 : 8;
-  if ((v2 && ::pread(fd, &epoch, 8, 8) != 8) ||
-      ::pread(fd, &count, 8, count_off) != 8) {
-    ::close(fd);
-    ::unlink(journal_path_.c_str());
-    return Status::OK();
-  }
-  const off_t body = count_off + 8;
-  const off_t tail = body + static_cast<off_t>(count) * (8 + kPageSize);
+  const off_t tail =
+      kJournalBody + static_cast<off_t>(count) * (8 + kPageSize);
   uint64_t trailer = 0;
-  if (::pread(fd, &trailer, 8, tail) != 8 || trailer != magic) {
-    ::close(fd);
-    ::unlink(journal_path_.c_str());
-    return Status::OK();  // incomplete journal: checkpoint never started
+  if (::pread(fd, &trailer, 8, tail) != 8 || trailer != kJournalMagic) {
+    return drop();  // incomplete journal: checkpoint never started
   }
-  // Complete journal. A v2 journal whose epoch the caller's commit record
-  // covers belongs to a *committed* checkpoint (the crash hit between the
-  // flush and the journal's lazy retirement): keep the pages, drop the
-  // journal. Only an uncommitted epoch rolls back. Legacy v1 journals have
-  // no epoch and always roll back (their writers retired them eagerly, so
-  // a surviving complete journal means an interrupted flush).
-  if (v2 && epoch <= committed_epoch) {
-    ::close(fd);
-    ::unlink(journal_path_.c_str());
-    return Status::OK();
-  }
-  off_t off = body;
+  // Complete journal. One whose epoch the caller's commit record covers
+  // belongs to a *committed* checkpoint (the crash hit between the flush
+  // and the journal's lazy retirement): keep the pages, drop the journal.
+  // Only an uncommitted epoch rolls back.
+  if (epoch <= committed_epoch) return drop();
+  off_t off = kJournalBody;
   Page img;
   for (uint64_t i = 0; i < count; i++) {
     uint64_t pid64 = 0;
@@ -136,7 +126,11 @@ Status DiskBackend::RollbackJournalIfNeeded(uint64_t committed_epoch) {
       ::close(fd);
       return Status::Corruption("journal body truncated");
     }
-    HARMONY_RETURN_NOT_OK(disk_->WritePage(static_cast<PageId>(pid64), img));
+    if (Status s = disk_->WritePage(static_cast<PageId>(pid64), img);
+        !s.ok()) {
+      ::close(fd);
+      return s;
+    }
     off += 8 + static_cast<off_t>(kPageSize);
   }
   ::close(fd);

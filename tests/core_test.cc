@@ -133,7 +133,9 @@ TEST(HarmonyBC, ContendedRunExportsDccCounters) {
   // repaired at commit. The registry must carry all of it, and every
   // simulated transaction must land in exactly one outcome.
   TempDir dir("bc-dcc");
-  auto db = HarmonyBC::Open(FastOpts(dir.path()));
+  HarmonyBC::Options opts = FastOpts(dir.path());
+  opts.dcc.enable_false_abort_oracle = true;
+  auto db = HarmonyBC::Open(opts);
   ASSERT_TRUE(db.ok());
   ASSERT_TRUE((*db)->options().dcc.harmony_inter_block);
   (*db)->RegisterProcedure(1, "transfer", Transfer);
@@ -161,6 +163,8 @@ TEST(HarmonyBC, ContendedRunExportsDccCounters) {
   const uint64_t cc_aborted = counter(obs::kCounterDccCcAborted);
   const uint64_t logic_aborted = counter(obs::kCounterDccLogicAborted);
   const uint64_t repaired = counter(obs::kCounterDccRepaired);
+  const uint64_t dangerous = counter(obs::kCounterDccDangerousHits);
+  const uint64_t false_aborts = counter(obs::kCounterDccFalseAborts);
   EXPECT_GE(simulated, 400u);
   EXPECT_GT(committed, 0u);
   EXPECT_GT(cc_aborted, 0u);
@@ -169,6 +173,13 @@ TEST(HarmonyBC, ContendedRunExportsDccCounters) {
   EXPECT_LE(repaired, simulated);
   EXPECT_EQ(committed + cc_aborted + logic_aborted, simulated);
   EXPECT_EQ(simulated, (*db)->stats().simulated.load());
+  // Rule 1 aborts come from dangerous structures; the oracle's false
+  // aborts are a subset of the CC aborts.
+  EXPECT_GT(dangerous, 0u);
+  EXPECT_LE(dangerous, simulated);
+  EXPECT_EQ(dangerous, (*db)->stats().dangerous_hits.load());
+  EXPECT_LE(false_aborts, cc_aborted);
+  EXPECT_EQ(false_aborts, (*db)->stats().false_aborts.load());
 }
 
 }  // namespace

@@ -2,7 +2,13 @@
 // failure modes, its plumbing through DiskManager and the checkpoint path,
 // heal-and-recover, and the analytic network degradation plan.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <csignal>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
@@ -155,6 +161,63 @@ TEST(DiskFaultTest, CheckpointFailsUnderDropoutThenRecoversAfterHeal) {
       ASSERT_OK(b.Get(k, &v));
       EXPECT_EQ(v, BigValue(k, 'v'));
     }
+  }
+}
+
+std::string ReadWholeFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(DiskFaultTest, FailedJournalWriteFailsCheckpointBeforeAnyPageFlush) {
+  // A journal write that comes up short (here EFBIG: the file-size limit
+  // is below the journal's size) must fail the checkpoint before a single
+  // table page is overwritten — a trailer-less journal cannot roll back.
+  TempDir dir("journal-fault");
+  std::optional<std::string> old;
+  {
+    DiskBackend b(dir.path(), "state", DiskModel::RamDisk(), 32);
+    ASSERT_OK(b.Open());
+    for (Key k = 0; k < 32; k++) {
+      ASSERT_OK(b.Put(k, BigValue(k, 'v'), &old));
+    }
+    ASSERT_OK(b.Checkpoint());
+  }
+  const std::string table = dir.path() + "/state.tbl";
+  const std::string baseline = ReadWholeFile(table);
+  ASSERT_GT(baseline.size(), 4 * kPageSize);
+
+  // The limit acts on the forked child alone; SIGXFSZ is ignored so the
+  // oversized write fails with EFBIG instead of killing the child.
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    std::signal(SIGXFSZ, SIG_IGN);
+    DiskBackend b(dir.path(), "state", DiskModel::RamDisk(), 32);
+    if (!b.Open().ok()) ::_exit(2);
+    for (Key k = 0; k < 32; k++) {
+      if (!b.Put(k, BigValue(k, 'w'), &old).ok()) ::_exit(2);
+    }
+    const rlim_t limit = 2 * kPageSize;  // the journal needs ~16 pages
+    struct rlimit rl = {limit, limit};
+    if (::setrlimit(RLIMIT_FSIZE, &rl) != 0) ::_exit(2);
+    ::_exit(b.Checkpoint(/*commit_epoch=*/2).ok() ? 1 : 0);
+  }
+  int st = 0;
+  ASSERT_EQ(::waitpid(pid, &st, 0), pid);
+  ASSERT_TRUE(WIFEXITED(st)) << "child died with status " << st;
+  EXPECT_EQ(WEXITSTATUS(st), 0) << "1 = checkpoint succeeded, 2 = setup";
+  EXPECT_TRUE(ReadWholeFile(table) == baseline) << "a table page changed";
+
+  // The partial journal is dropped at open; the baseline reads back.
+  DiskBackend b(dir.path(), "state", DiskModel::RamDisk(), 32);
+  ASSERT_OK(b.Open(/*committed_epoch=*/1));
+  std::string v;
+  for (Key k = 0; k < 32; k++) {
+    SCOPED_TRACE(k);
+    ASSERT_OK(b.Get(k, &v));
+    EXPECT_EQ(v, BigValue(k, 'v'));
   }
 }
 

@@ -363,9 +363,19 @@ TEST(Mempool, EightProducersLanesConcurrentDrain) {
 
 // -------------------------------------------------------------- admission --
 
+/// A registry holding only procedure 1: admission accepts proc_id 1 and
+/// rejects everything else.
+ProcedureRegistry OneProcedure() {
+  ProcedureRegistry r;
+  r.Register(1, "noop", [](TxnContext&, const ProcArgs&) {
+    return Status::OK();
+  });
+  return r;
+}
+const ProcedureRegistry kProcOne = OneProcedure();
+
 TEST(Admission, ValidatesProceduresAndShapes) {
-  AdmissionController ac(AdmissionOptions{});
-  ac.AllowProcedure(1);
+  AdmissionController ac(AdmissionOptions{}, &kProcOne);
   ASSERT_OK(ac.Admit(Req(1, 1, 1), 1));
   EXPECT_TRUE(ac.Admit(Req(1, 2, 99), 1).IsInvalidArgument());
 
@@ -379,8 +389,7 @@ TEST(Admission, TokenBucketRateLimitsPerClient) {
   AdmissionOptions ao;
   ao.rate_per_client_tps = 10;  // refill 10/s
   ao.burst = 2;                 // bucket of 2
-  AdmissionController ac(ao);
-  ac.AllowProcedure(1);
+  AdmissionController ac(ao, &kProcOne);
 
   const uint64_t t0 = 1'000'000;
   ASSERT_OK(ac.Admit(Req(1, 1, 1), t0));
@@ -397,8 +406,7 @@ TEST(Admission, TokenBucketRateLimitsPerClient) {
 TEST(Admission, FractionalRateStillAdmitsBursts) {
   AdmissionOptions ao;
   ao.rate_per_client_tps = 0.5;  // one txn per 2 seconds
-  AdmissionController ac(ao);
-  ac.AllowProcedure(1);
+  AdmissionController ac(ao, &kProcOne);
   // The bucket is clamped to hold at least one whole token, so the first
   // transaction is admitted instead of being rate-limited forever.
   ASSERT_OK(ac.Admit(Req(1, 1, 1), 1'000'000));
@@ -412,8 +420,7 @@ TEST(Admission, DemotesInsteadOfRejectingWhenConfigured) {
   ao.rate_per_client_tps = 10;
   ao.burst = 2;
   ao.demote_over_rate = true;
-  AdmissionController ac(ao);
-  ac.AllowProcedure(1);
+  AdmissionController ac(ao, &kProcOne);
 
   const uint64_t t0 = 1'000'000;
   bool demote = true;

@@ -1,11 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "consensus/orderer.h"
-#include "replica/cluster.h"
+#include "core/harmonybc.h"
 #include "replica/replica.h"
 #include "tests/test_util.h"
 #include "workload/smallbank.h"
-#include "workload/ycsb.h"
 
 namespace harmony {
 namespace {
@@ -199,39 +200,67 @@ TEST(Replica, RecoverFailsOnCorruptPreCheckpointRecordBeforeReplay) {
   EXPECT_EQ(v->field(0), 5);  // the checkpointed state, nothing replayed
 }
 
-class ClusterConsistencyTest : public ::testing::TestWithParam<DccKind> {};
+class SessionChainReplayTest : public ::testing::TestWithParam<DccKind> {};
 
-TEST_P(ClusterConsistencyTest, TwoReplicasStayConsistent) {
-  TempDir dir("cluster");
-  ClusterOptions co;
-  co.dir = dir.path();
-  co.replica = FastOptions(dir.path(), GetParam());
-  co.replica.threads = 4;
-  co.live_replicas = 2;
-  co.block_size = 10;
-  Cluster cluster(co);
-
+TEST_P(SessionChainReplayTest, ReplayedChainReachesTheSameState) {
+  // Contended Smallbank through the session pipeline (CC aborts requeued on
+  // the retry lane), then the stored chain re-executed on a fresh replica
+  // with the same procedures and genesis: both must reach the same state.
+  TempDir dir("chain-replay");
+  const ReplicaOptions ro = FastOptions(dir.path(), GetParam());
   SmallbankConfig sb;
   sb.num_accounts = 200;
   sb.skew = 0.9;  // contentious: aborts + retries exercised
-  auto workload = std::make_shared<SmallbankWorkload>(sb);
-  ASSERT_OK(cluster.Open([&](Replica& r) { return workload->Setup(r); }));
 
-  size_t remaining = 300;
-  auto report = cluster.Run(
-      [&](TxnRequest* out) {
-        if (remaining == 0) return false;
-        remaining--;
-        *out = workload->Next();
-        return true;
-      },
-      workload->avg_txn_bytes());
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_GT(report->committed, 250u);
-  ASSERT_OK(cluster.VerifyConsistency());
+  HarmonyBC::Options o;
+  o.dir = dir.path() + "/live";
+  o.protocol = ro.dcc;
+  o.disk = ro.disk;
+  o.threads = ro.threads;
+  o.pool_pages = ro.pool_pages;
+  o.checkpoint_every = ro.checkpoint_every;
+  o.block_size = 10;
+  o.max_txn_retries = 20;
+  o.max_block_delay_us = 1000;
+  std::filesystem::create_directories(o.dir);
+  auto db = HarmonyBC::Open(o);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  SmallbankWorkload workload(sb);
+  ASSERT_OK(workload.Setup(*(*db)->replica()));
+  ASSERT_OK((*db)->Recover().status());
+
+  auto session = (*db)->OpenSession();
+  std::vector<TxnTicket> tickets;
+  for (int i = 0; i < 300; i++) {
+    tickets.push_back(session->Submit(workload.Next()));
+  }
+  size_t committed = 0;
+  for (const TxnTicket& t : tickets) {
+    if (t.Wait().outcome == ReceiptOutcome::kCommitted) committed++;
+  }
+  EXPECT_GT(committed, 250u);
+  ASSERT_OK((*db)->Sync());
+  auto live = (*db)->StateDigest();
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  std::vector<Block> chain;
+  ASSERT_OK((*db)->replica()->block_store()->ReadAll(&chain));
+  ASSERT_FALSE(chain.empty());
+
+  ReplicaOptions replay_opts = ro;
+  replay_opts.dir = dir.path() + "/replay";
+  std::filesystem::create_directories(replay_opts.dir);
+  Replica replay(replay_opts);
+  ASSERT_OK(replay.Open());
+  SmallbankWorkload genesis(sb);
+  ASSERT_OK(genesis.Setup(replay));
+  for (Block& b : chain) ASSERT_OK(replay.SubmitBlock(std::move(b)));
+  ASSERT_OK(replay.Drain());
+  auto replayed = replay.StateDigest();
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  EXPECT_EQ(*replayed, *live);
 }
 
-INSTANTIATE_TEST_SUITE_P(Protocols, ClusterConsistencyTest,
+INSTANTIATE_TEST_SUITE_P(Protocols, SessionChainReplayTest,
                          ::testing::Values(DccKind::kHarmony, DccKind::kAria,
                                            DccKind::kRbc, DccKind::kFabric,
                                            DccKind::kFastFabric),
@@ -242,39 +271,6 @@ INSTANTIATE_TEST_SUITE_P(Protocols, ClusterConsistencyTest,
                            }
                            return s;
                          });
-
-TEST(Cluster, YcsbRunReportsSaneNumbers) {
-  TempDir dir("cluster-y");
-  ClusterOptions co;
-  co.dir = dir.path();
-  co.replica = FastOptions(dir.path(), DccKind::kHarmony);
-  co.live_replicas = 1;
-  co.block_size = 25;
-  Cluster cluster(co);
-
-  YcsbConfig yc;
-  yc.num_keys = 500;
-  yc.skew = 0.6;
-  yc.payload_bytes = 16;
-  auto workload = std::make_shared<YcsbWorkload>(yc);
-  ASSERT_OK(cluster.Open([&](Replica& r) { return workload->Setup(r); }));
-
-  size_t remaining = 500;
-  auto report = cluster.Run(
-      [&](TxnRequest* out) {
-        if (remaining == 0) return false;
-        remaining--;
-        *out = workload->Next();
-        return true;
-      },
-      workload->avg_txn_bytes());
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report->committed + report->dropped, 500u);
-  EXPECT_GT(report->exec_tps, 0.0);
-  EXPECT_GT(report->consensus_cap_tps, 0.0);
-  EXPECT_GE(report->mean_latency_ms, 0.0);
-  EXPECT_LE(report->p50_latency_ms, report->p99_latency_ms);
-}
 
 }  // namespace
 }  // namespace harmony
