@@ -251,10 +251,7 @@ Result<BlockId> HarmonyBC::Recover() {
     // blocks extend the same hash chain. Only the tip block matters — an
     // O(1) tail read, not an O(chain) scan.
     Block last;
-    BlockStore store(opts_.dir + "/replica.chain", /*sync_latency_us=*/150,
-                     opts_.block_compression);
-    HARMONY_RETURN_NOT_OK(store.Open());
-    HARMONY_RETURN_NOT_OK(store.ReadLast(&last));
+    HARMONY_RETURN_NOT_OK(replica_->block_store()->ReadLast(&last));
     orderer_->ResumeFrom(last.header.block_id,
                          last.header.first_tid + last.header.txn_count,
                          last.header.block_hash);
@@ -297,6 +294,7 @@ obs::MetricsSnapshot HarmonyBC::CollectMetrics() {
     sync(obs::kCounterPoolDirtyEvictions, ps.dirty_evictions);
     sync(obs::kCounterFlushPages, ps.flushed_pages);
     sync(obs::kCounterFlushBatches, ps.flushes);
+    sync(obs::kCounterCheckpointWaits, replica_->checkpoint_waits());
     BlockStore* bs = replica_->block_store();
     sync(obs::kCounterLogTruncatedBlocks, bs->truncated_blocks());
     metrics_->GetGauge(obs::kGaugeLogLiveBytes)

@@ -8,6 +8,62 @@
 
 namespace harmony {
 
+size_t FlatKeySet::Find(uint64_t key) const {
+  const size_t mask = slots_.size() - 1;
+  size_t i = Home(key);
+  while (slots_[i] != 0 && slots_[i] != key) i = (i + 1) & mask;
+  return i;
+}
+
+bool FlatKeySet::Insert(uint64_t key) {
+  if (key == 0) {
+    if (has_zero_) return false;
+    has_zero_ = true;
+    size_++;
+    return true;
+  }
+  if ((size_ + 1) * 4 > slots_.size() * 3) Grow();
+  const size_t i = Find(key);
+  if (slots_[i] == key) return false;
+  slots_[i] = key;
+  size_++;
+  return true;
+}
+
+void FlatKeySet::Erase(uint64_t key) {
+  if (key == 0) {
+    if (has_zero_) size_--;
+    has_zero_ = false;
+    return;
+  }
+  if (slots_.empty()) return;
+  const size_t mask = slots_.size() - 1;
+  size_t hole = Find(key);
+  if (slots_[hole] != key) return;
+  size_--;
+  // Backward shift: pull later members of the probe run into the hole
+  // when the hole lies on their probe path (between home and slot).
+  for (size_t j = (hole + 1) & mask; slots_[j] != 0; j = (j + 1) & mask) {
+    const size_t home = Home(slots_[j]);
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole] = 0;
+}
+
+void FlatKeySet::Grow() {
+  std::vector<uint64_t> old;
+  old.swap(slots_);
+  const size_t cap = old.empty() ? 16 : old.size() * 2;
+  slots_.assign(cap, 0);
+  shift_ = 64 - static_cast<unsigned>(__builtin_ctzll(cap));
+  for (uint64_t k : old) {
+    if (k != 0) slots_[Find(k)] = k;
+  }
+}
+
 Mempool::Mempool(MempoolOptions opts) : opts_(opts) {
   const size_t n = RoundUpPow2(std::max<size_t>(1, opts_.shards));
   shard_mask_ = n - 1;
@@ -108,7 +164,7 @@ Status Mempool::AddWithSlot(TxnRequest req, IngestLane lane) {
   Shard& s = shard_for(key);
   if (dedup) {
     std::lock_guard<SpinLock> lk(s.dedup_mu);
-    if (!s.seen.insert(key).second) {
+    if (!s.seen.Insert(key)) {
       return Status::InvalidArgument(
           "duplicate transaction (client " + std::to_string(req.client_id) +
           ", seq " + std::to_string(req.client_seq) + ")");
@@ -116,7 +172,7 @@ Status Mempool::AddWithSlot(TxnRequest req, IngestLane lane) {
     if (dedup_per_shard_ != 0) {
       s.seen_fifo.push_back(key);
       if (s.seen_fifo.size() > dedup_per_shard_) {
-        s.seen.erase(s.seen_fifo.front());
+        s.seen.Erase(s.seen_fifo.front());
         s.seen_fifo.pop_front();
       }
     }
@@ -144,7 +200,7 @@ Status Mempool::AddWithSlot(TxnRequest req, IngestLane lane) {
     lane_size_[li].fetch_sub(1, std::memory_order_relaxed);
     if (dedup) {
       std::lock_guard<SpinLock> lk(s.dedup_mu);
-      s.seen.erase(key);
+      s.seen.Erase(key);
     }
     return Status::Busy(std::string("mempool shard ring full (") +
                         LaneName(lane) + " lane)");

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "common/mpsc_ring.h"
@@ -14,6 +13,34 @@
 #include "txn/procedure.h"
 
 namespace harmony {
+
+/// Open-addressing set of 64-bit keys: linear probing, backward-shift
+/// erase (no tombstones), doubling at 3/4 load. One 8-byte slot per key at
+/// up to 3/4 load, so a remembered key costs 8-16 B where a node-based
+/// hash set costs about 50 B.
+class FlatKeySet {
+ public:
+  /// Adds `key`; false if it was already present.
+  bool Insert(uint64_t key);
+  void Erase(uint64_t key);
+  size_t size() const { return size_; }
+
+ private:
+  /// Home slot: the key's high bits after a multiplicative mix, so keys
+  /// sharing their low bits (one mempool shard's keys do) still spread.
+  size_t Home(uint64_t key) const {
+    return static_cast<size_t>((key * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+  /// Slot holding `key`, or the empty slot where its probe ends.
+  size_t Find(uint64_t key) const;
+  void Grow();
+
+  // Slot value 0 means empty, so key 0 lives in has_zero_ instead.
+  std::vector<uint64_t> slots_;
+  size_t size_ = 0;
+  unsigned shift_ = 64;
+  bool has_zero_ = false;
+};
 
 /// Mempool sizing / behaviour knobs.
 struct MempoolOptions {
@@ -173,7 +200,7 @@ class Mempool {
 
     MpscRing<TxnRequest> lanes[kNumLanes];
     mutable SpinLock dedup_mu;
-    std::unordered_set<uint64_t> seen;
+    FlatKeySet seen;
     std::deque<uint64_t> seen_fifo;  ///< eviction order for the dedup window
   };
 

@@ -67,6 +67,11 @@ inline constexpr char kCounterFlushBatches[] = "storage.flush.batches";
 inline constexpr char kCounterLogTruncatedBlocks[] =
     "storage.log.truncated_blocks";
 inline constexpr char kGaugeLogLiveBytes[] = "storage.log.live_bytes";
+// Periodic checkpoints (recorded by the replica's checkpoint worker): time
+// from the capture on the commit path to the manifest write, and the times
+// a capture had to wait for the previous checkpoint to finish.
+inline constexpr char kHistCheckpointUs[] = "storage.checkpoint.duration_us";
+inline constexpr char kCounterCheckpointWaits[] = "storage.checkpoint.waits";
 
 // DCC plane (ProtocolStats, refreshed by HarmonyBC::CollectMetrics).
 // Every simulated transaction ends committed, CC-aborted or logic-aborted;

@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "common/clock.h"
+#include "obs/events.h"
 #include "obs/trace.h"
 #include "testing/crash_point.h"
 
@@ -21,6 +22,14 @@ Replica::~Replica() {
   }
   cv_.notify_all();
   if (commit_thread_.joinable()) commit_thread_.join();
+  // The commit thread is gone, so no checkpoint can start; the worker
+  // finishes the one in flight before it exits.
+  {
+    std::lock_guard<std::mutex> lk(ckpt_mu_);
+    ckpt_stop_ = true;
+  }
+  ckpt_cv_.notify_all();
+  if (ckpt_thread_.joinable()) ckpt_thread_.join();
 }
 
 Status Replica::Open() {
@@ -61,6 +70,11 @@ Status Replica::Open() {
   HARMONY_RETURN_NOT_OK(block_store_->Open());
   verifier_ = std::make_unique<ChainVerifier>(opts_.orderer_secret);
 
+  if (opts_.tracer != nullptr) {
+    checkpoint_us_ = opts_.tracer->registry()->GetHistogram(
+        obs::kHistCheckpointUs);
+  }
+  ckpt_thread_ = std::thread([this] { CheckpointWorker(); });
   if (protocol_->supports_inter_block()) {
     commit_thread_ = std::thread([this] { CommitWorker(); });
   }
@@ -77,6 +91,7 @@ void Replica::RegisterProcedure(uint32_t proc_id, std::string name,
 }
 
 Result<BlockId> Replica::Recover() {
+  WaitCheckpoint();
   const BlockId checkpointed = manifest_->Read();
   HARMONY_RETURN_NOT_OK(ReplayFrom(checkpointed));
   // A snapshot-installed follower can be checkpointed past its (possibly
@@ -169,6 +184,7 @@ bool Replica::ReadAnchor(Digest* out) const {
 Status Replica::InstallSnapshot(
     BlockId base, const Digest& tip_hash,
     const std::vector<std::pair<Key, std::string>>& rows) {
+  WaitCheckpoint();
   {
     std::lock_guard<std::mutex> lk(mu_);
     if (last_submitted_ != last_committed_) {
@@ -231,10 +247,16 @@ Status Replica::SubmitBlock(Block block) {
     // Incremental verification against the replica's view of the chain head.
     HARMONY_RETURN_NOT_OK(verifier_->Verify(block));
   }
-  if (opts_.persist_blocks && !replaying_ &&
-      !protocol_->supports_inter_block()) {
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (!pipeline_error_.ok()) return pipeline_error_;
+  }
+  if (opts_.persist_blocks && !replaying_) {
     // Logical logging: persist the input block before execution (Section 4).
-    // (The pipelined path overlaps this append with simulation instead.)
+    // Blocks arrive in id order, so the log is in order too. On the
+    // pipelined path the append runs here, before the wait for a pipeline
+    // slot, so it overlaps the previous blocks' execution instead of
+    // delaying this block's simulation.
     HARMONY_RETURN_NOT_OK(block_store_->Append(block));
   }
 
@@ -277,7 +299,9 @@ Status Replica::ExecuteBlockPipelined(Block block) {
   const BlockId id = block.header.block_id;
   const BlockId lag = protocol_->snapshot_lag();
   // Barrier followers additionally need the previous block fully committed
-  // (their snapshot is block id-1 and they carry no pipeline state).
+  // (their snapshot is block id-1 and they carry no pipeline state). The
+  // checkpoint at block id-1 is then captured, not necessarily durable: the
+  // worker persists it while this block executes.
   const bool barrier_follower =
       opts_.checkpoint_every != 0 && id > 1 &&
       (id - 1) % opts_.checkpoint_every == 0;
@@ -294,23 +318,14 @@ Status Replica::ExecuteBlockPipelined(Block block) {
 
   // Simulation runs on its own thread: consecutive blocks' simulations
   // overlap with each other and with the commit worker — a straggler in
-  // block i does not detain block i+1 (Section 3.4). The logical-log append
-  // (group commit of the input) overlaps with simulation; it only has to
-  // complete before the block's own commit step, which joins this thread.
-  const bool persist_inflight = opts_.persist_blocks && !replaying_;
+  // block i does not detain block i+1 (Section 3.4).
   auto inflight = std::make_shared<InFlight>();
   inflight->block = std::move(block);
   inflight->tracer =
       (opts_.tracer != nullptr && opts_.tracer->enabled() && !replaying_)
           ? opts_.tracer
           : nullptr;
-  inflight->sim_thread = std::thread([this, inflight, persist_inflight] {
-    if (persist_inflight) {
-      inflight->sim_status = block_store_->Append(inflight->block);
-      if (!inflight->sim_status.ok()) return;
-    }
-    // The log append above overlaps simulation conceptually; only the
-    // Simulate itself counts as the execute stage.
+  inflight->sim_thread = std::thread([this, inflight] {
     const uint64_t t0 = inflight->tracer != nullptr ? NowMicros() : 0;
     inflight->sim_status = protocol_->Simulate(inflight->block.batch);
     if (inflight->tracer != nullptr) {
@@ -347,9 +362,9 @@ void Replica::CommitWorker() {
       item->tracer->block_commit->Record(NowMicros() - t0);
     }
     if (s.ok()) {
-      // Callbacks and checkpointing complete before the block counts as
-      // committed: Drain() then implies every callback has fired, and the
-      // barrier-follower wait covers the checkpoint itself.
+      // Callbacks and the checkpoint capture complete before the block
+      // counts as committed: Drain() then implies every callback has fired,
+      // and the barrier-follower wait covers the capture.
       s = AfterCommit(item->block, result);
       std::lock_guard<std::mutex> lk(mu_);
       if (s.ok()) last_committed_ = item->block.header.block_id;
@@ -365,35 +380,99 @@ void Replica::CommitWorker() {
 Status Replica::AfterCommit(const Block& block, const BlockResult& result) {
   const BlockId id = block.header.block_id;
   if (opts_.checkpoint_every != 0 && id % opts_.checkpoint_every == 0) {
-    // Epoch id+1 keeps the journal alive until the manifest write below
-    // lands; a crash between the two rolls the flush back instead of
-    // leaving state@id under a manifest that says an older block — which
-    // would double-apply the gap on replay.
-    HARMONY_RETURN_NOT_OK(backend_->Checkpoint(id + 1));
-    HARMONY_CRASH_POINT("replica.checkpoint.before_manifest");
-    HARMONY_RETURN_NOT_OK(manifest_->Write(id));
-    HARMONY_CRASH_POINT("replica.checkpoint.after_manifest");
-    if (opts_.log_retain_blocks > 0 && opts_.persist_blocks) {
-      // The manifest just proved state through `id` durable; records below
-      // the retention window no longer serve recovery. Keeping at least the
-      // checkpoint block itself means the log is never left empty, so the
-      // recovery audit can always anchor at the first retained record.
-      const BlockId keep_from =
-          id > opts_.log_retain_blocks ? id - opts_.log_retain_blocks + 1 : 1;
-      if (keep_from > 1) {
-        HARMONY_RETURN_NOT_OK(block_store_->TruncateBefore(keep_from));
-      }
-    }
+    HARMONY_RETURN_NOT_OK(StartCheckpoint(id));
   }
   if (commit_cb_) commit_cb_(block, result);
   return Status::OK();
 }
 
+Status Replica::StartCheckpoint(BlockId id) {
+  {
+    std::unique_lock<std::mutex> lk(ckpt_mu_);
+    if (ckpt_job_ != nullptr) {
+      checkpoint_waits_.fetch_add(1, std::memory_order_relaxed);
+      ckpt_cv_.wait(lk, [&] { return ckpt_job_ == nullptr; });
+    }
+  }
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    HARMONY_RETURN_NOT_OK(pipeline_error_);
+  }
+  // No page is mutated between this block's commit and the next one's, so
+  // the copy is state@id exactly; the worker persists it from here.
+  auto job = std::make_unique<CheckpointJob>();
+  job->id = id;
+  job->retain = opts_.log_retain_blocks > 0 && opts_.persist_blocks;
+  job->start_us = NowMicros();
+  job->pages = backend_->CaptureCheckpoint(/*copy=*/true);
+  {
+    std::lock_guard<std::mutex> lk(ckpt_mu_);
+    ckpt_job_ = std::move(job);
+  }
+  ckpt_cv_.notify_all();
+  return Status::OK();
+}
+
+Status Replica::PersistCheckpoint(const CheckpointJob& job) {
+  const BlockId id = job.id;
+  // Epoch id+1 keeps the journal alive until the manifest write below
+  // lands; a crash between the two rolls the flush back instead of
+  // leaving state@id under a manifest that says an older block — which
+  // would double-apply the gap on replay.
+  HARMONY_RETURN_NOT_OK(backend_->PersistCheckpoint(job.pages, id + 1));
+  HARMONY_CRASH_POINT("replica.checkpoint.before_manifest");
+  HARMONY_RETURN_NOT_OK(manifest_->Write(id));
+  HARMONY_CRASH_POINT("replica.checkpoint.after_manifest");
+  if (checkpoint_us_ != nullptr) {
+    checkpoint_us_->Record(NowMicros() - job.start_us);
+  }
+  if (job.retain) {
+    // The manifest just proved state through `id` durable; records below
+    // the retention window no longer serve recovery. Keeping at least the
+    // checkpoint block itself means the log is never left empty, so the
+    // recovery audit can always anchor at the first retained record.
+    const BlockId keep_from =
+        id > opts_.log_retain_blocks ? id - opts_.log_retain_blocks + 1 : 1;
+    if (keep_from > 1) {
+      HARMONY_RETURN_NOT_OK(block_store_->TruncateBefore(keep_from));
+    }
+  }
+  return Status::OK();
+}
+
+void Replica::CheckpointWorker() {
+  std::unique_lock<std::mutex> lk(ckpt_mu_);
+  while (true) {
+    ckpt_cv_.wait(lk, [&] { return ckpt_stop_ || ckpt_job_ != nullptr; });
+    if (ckpt_job_ == nullptr) return;  // stopping, nothing in flight
+    const CheckpointJob& job = *ckpt_job_;
+    lk.unlock();
+    const Status s = PersistCheckpoint(job);
+    if (!s.ok()) {
+      std::lock_guard<std::mutex> elk(mu_);
+      if (pipeline_error_.ok()) pipeline_error_ = s;
+    }
+    cv_.notify_all();
+    lk.lock();
+    ckpt_job_.reset();
+    ckpt_cv_.notify_all();
+  }
+}
+
+void Replica::WaitCheckpoint() {
+  std::unique_lock<std::mutex> lk(ckpt_mu_);
+  ckpt_cv_.wait(lk, [&] { return ckpt_job_ == nullptr; });
+}
+
 Status Replica::Drain() {
-  std::unique_lock<std::mutex> lk(mu_);
-  cv_.wait(lk, [&] {
-    return !pipeline_error_.ok() || last_committed_ >= last_submitted_;
-  });
+  {
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_.wait(lk, [&] {
+      return !pipeline_error_.ok() || last_committed_ >= last_submitted_;
+    });
+  }
+  WaitCheckpoint();
+  std::lock_guard<std::mutex> lk(mu_);
   return pipeline_error_;
 }
 

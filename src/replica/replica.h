@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <functional>
 #include <memory>
@@ -20,6 +21,7 @@ namespace harmony {
 
 namespace obs {
 class EventLog;
+class LatencyHistogram;
 class TxnTracer;
 }
 
@@ -112,7 +114,8 @@ class Replica {
   /// Blocks must arrive in increasing block-id order.
   Status SubmitBlock(Block block);
 
-  /// Waits until every submitted block has committed.
+  /// Waits until every submitted block has committed and the checkpoint in
+  /// flight, if any, is durable.
   Status Drain();
 
   void SetCommitCallback(CommitCallback cb) { commit_cb_ = std::move(cb); }
@@ -140,7 +143,7 @@ class Replica {
   /// SHA-256 over the sorted latest state — the replica-consistency check.
   Result<Digest> StateDigest();
 
-  /// Forces a checkpoint now (flush + manifest).
+  /// Forces a checkpoint now (flush + manifest), inline.
   Status Checkpoint();
 
   /// Streams the whole chain back and verifies hashes + signatures.
@@ -153,12 +156,32 @@ class Replica {
   DccProtocol* protocol() { return protocol_.get(); }
   BlockId last_committed() const;
   const ReplicaOptions& options() const { return opts_; }
+  /// Times a periodic checkpoint found the previous one still persisting
+  /// and the commit path waited for it.
+  uint64_t checkpoint_waits() const {
+    return checkpoint_waits_.load(std::memory_order_relaxed);
+  }
 
  private:
+  /// A checkpoint captured at block `id` and not yet durable.
+  struct CheckpointJob {
+    BlockId id = 0;
+    FlushSet pages;
+    bool retain = false;    ///< apply log retention once the manifest lands
+    uint64_t start_us = 0;  ///< capture start (checkpoint duration)
+  };
+
   Status ExecuteBlockPipelined(Block block);
-  Status CommitLoopStep();
   void CommitWorker();
   Status AfterCommit(const Block& block, const BlockResult& result);
+  /// Commit path of a periodic checkpoint: waits for the previous one,
+  /// captures block `id`'s dirty pages and hands them to the worker.
+  Status StartCheckpoint(BlockId id);
+  /// Journal, flush, sync, manifest and log retention of a captured job.
+  Status PersistCheckpoint(const CheckpointJob& job);
+  void CheckpointWorker();
+  /// Returns once no checkpoint is in flight.
+  void WaitCheckpoint();
   Status ReplayFrom(BlockId checkpointed);
   /// One streaming pass over the block log: verifies every record (anchored
   /// by ChainVerifier::ForStoredLog), moves the blocks with id > keep_after
@@ -202,6 +225,16 @@ class Replica {
   bool stop_ = false;
   std::thread commit_thread_;
   bool replaying_ = false;
+
+  // Checkpoint worker: persists at most one captured checkpoint while later
+  // blocks execute. Its errors land in pipeline_error_.
+  std::mutex ckpt_mu_;
+  std::condition_variable ckpt_cv_;
+  std::unique_ptr<CheckpointJob> ckpt_job_;  ///< in flight (queued or running)
+  bool ckpt_stop_ = false;
+  std::thread ckpt_thread_;
+  std::atomic<uint64_t> checkpoint_waits_{0};
+  obs::LatencyHistogram* checkpoint_us_ = nullptr;  ///< capture -> manifest
 };
 
 }  // namespace harmony

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 #include "testing/crash_point.h"
 
@@ -101,7 +102,7 @@ size_t BufferPool::PickVictimLocked(Stripe& s) {
     const size_t idx = s.clock_hand;
     s.clock_hand = (s.clock_hand + 1) % n;
     if (f.pin_count > 0 || f.loading) continue;
-    if (f.dirty) continue;  // no-steal: never write back outside FlushAll
+    if (f.dirty) continue;  // no-steal: only a checkpoint writes it back
     if (f.referenced) {
       f.referenced = false;
       continue;
@@ -172,44 +173,58 @@ Result<PageGuard> BufferPool::NewPage(PageId page_id) {
   f.pin_count = 1;
   f.loading = false;
   f.dirty = true;  // a new page must reach disk eventually
-  f.dirty_gen++;
+  f.dirty_gen = ++s.gen_clock;
   f.referenced = true;
   f.page.Zero();
   s.page_table[page_id] = victim;
   return PageGuard(this, si, victim, &f.page);
 }
 
-Status BufferPool::FlushAll() {
-  // One flush at a time: the write phase runs without stripe latches, and
-  // the trailing shrink deletes frames — overlap would be use-after-free.
-  std::lock_guard<std::mutex> flush_lk(flush_mu_);
-
-  // Snapshot the dirty set under the stripe latches, write outside them.
-  // The production checkpoint runs quiesced; concurrent mutators (property
-  // tests) are handled by the dirty generation: a frame re-dirtied while
-  // its write-back is in flight keeps its dirty bit for the next flush.
-  struct Item {
-    Stripe* stripe;
-    Frame* frame;
-    uint64_t gen;
-  };
-  std::vector<Item> dirty;
-  for (auto& sp : stripes_) {
+FlushSet BufferPool::CaptureDirty(bool copy) const {
+  FlushSet set;
+  for (const auto& sp : stripes_) {
     std::lock_guard<std::mutex> lk(sp->mu);
-    for (Frame* f : sp->frames) {
-      if (f->page_id != kInvalidPageId && f->dirty) {
-        dirty.push_back(Item{sp.get(), f, f->dirty_gen});
+    Page* images = nullptr;
+    if (copy) {
+      size_t n = 0;
+      for (const Frame* f : sp->frames) {
+        n += f->page_id != kInvalidPageId && f->dirty;
       }
+      if (n == 0) continue;
+      // Default-initialised: every image is overwritten below.
+      set.copies.emplace_back(new Page[n]);
+      images = set.copies.back().get();
+    }
+    for (const Frame* f : sp->frames) {
+      if (f->page_id == kInvalidPageId || !f->dirty) continue;
+      const Page* image = &f->page;
+      if (copy) {
+        std::memcpy(images->data, f->page.data, kPageSize);
+        image = images++;
+      }
+      set.pages.push_back(CapturedPage{f->page_id, f->dirty_gen, image});
     }
   }
+  return set;
+}
 
+Status BufferPool::WriteCaptured(const FlushSet& set) {
+  std::lock_guard<std::mutex> flush_lk(flush_mu_);
+  return WriteCapturedLocked(set);
+}
+
+Status BufferPool::FlushAll() {
+  std::lock_guard<std::mutex> flush_lk(flush_mu_);
+  return WriteCapturedLocked(CaptureDirty(/*copy=*/false));
+}
+
+Status BufferPool::WriteCapturedLocked(const FlushSet& set) {
   Status first_error;
   std::mutex err_mu;
   auto flush_range = [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; i++) {
-      Stripe& s = *dirty[i].stripe;
-      Frame& f = *dirty[i].frame;
-      Status st = disk_->WritePage(f.page_id, f.page);
+      const CapturedPage& c = set.pages[i];
+      Status st = disk_->WritePage(c.page_id, *c.image);
       // Between any two page write-backs the on-disk image mixes two
       // checkpoints — the window the rollback journal exists for.
       HARMONY_CRASH_POINT("storage.flush.mid");
@@ -218,28 +233,34 @@ Status BufferPool::FlushAll() {
         if (first_error.ok()) first_error = st;
         return;
       }
+      // A dirty frame is never evicted, so the page is still resident; a
+      // changed generation means it was re-dirtied after the capture.
+      Stripe& s = StripeFor(c.page_id);
       std::lock_guard<std::mutex> lk(s.mu);
-      if (f.dirty_gen == dirty[i].gen) f.dirty = false;
+      auto it = s.page_table.find(c.page_id);
+      if (it == s.page_table.end()) continue;
+      Frame& f = *s.frames[it->second];
+      if (f.dirty && f.dirty_gen == c.gen) f.dirty = false;
     }
   };
 
   const size_t workers =
-      flush_pool_ == nullptr ? 1 : std::min(flush_threads_, dirty.size());
+      flush_pool_ == nullptr ? 1 : std::min(flush_threads_, set.size());
   if (workers <= 1) {
-    flush_range(0, dirty.size());
+    flush_range(0, set.size());
   } else {
-    const size_t per = (dirty.size() + workers - 1) / workers;
+    const size_t per = (set.size() + workers - 1) / workers;
     flush_pool_->ParallelShards(workers, [&](size_t w) {
       const size_t lo = w * per;
-      flush_range(lo, std::min(dirty.size(), lo + per));
+      flush_range(lo, std::min(set.size(), lo + per));
     });
   }
   HARMONY_RETURN_NOT_OK(first_error);
-  flushed_pages_.fetch_add(dirty.size(), std::memory_order_relaxed);
+  flushed_pages_.fetch_add(set.size(), std::memory_order_relaxed);
   flushes_.fetch_add(1, std::memory_order_relaxed);
 
   // Shrink emergency growth: drop clean unpinned frames beyond each
-  // stripe's capacity.
+  // stripe's capacity. A pinned, loading or dirty frame stops the shrink.
   for (auto& sp : stripes_) {
     std::lock_guard<std::mutex> lk(sp->mu);
     while (sp->frames.size() > sp->capacity) {
@@ -277,7 +298,7 @@ void BufferPool::MarkDirtyFrame(size_t stripe, size_t frame) {
   Stripe& s = *stripes_[stripe];
   std::lock_guard<std::mutex> lk(s.mu);
   s.frames[frame]->dirty = true;
-  s.frames[frame]->dirty_gen++;
+  s.frames[frame]->dirty_gen = ++s.gen_clock;
 }
 
 }  // namespace harmony

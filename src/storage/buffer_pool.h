@@ -53,8 +53,26 @@ struct BufferPoolStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t dirty_evictions = 0;  ///< emergency grows (no-steal)
-  uint64_t flushed_pages = 0;    ///< pages written back by FlushAll
-  uint64_t flushes = 0;          ///< completed FlushAll calls
+  uint64_t flushed_pages = 0;    ///< pages written back by WriteCaptured
+  uint64_t flushes = 0;          ///< completed WriteCaptured calls
+};
+
+/// One dirty page captured by BufferPool::CaptureDirty: the image to write
+/// back and the dirty generation it was captured at.
+struct CapturedPage {
+  PageId page_id = kInvalidPageId;
+  uint64_t gen = 0;
+  const Page* image = nullptr;  ///< into FlushSet::copies, or the frame's own
+};
+
+/// A checkpoint's captured dirty set.
+struct FlushSet {
+  std::vector<CapturedPage> pages;
+  /// The copied images, one array per stripe; empty for an in-place capture.
+  std::vector<std::unique_ptr<Page[]>> copies;
+
+  size_t size() const { return pages.size(); }
+  bool empty() const { return pages.empty(); }
 };
 
 /// DRAM page cache, sharded into cache-line-padded stripes. Each stripe owns
@@ -63,12 +81,26 @@ struct BufferPoolStats {
 /// contend. Eviction runs per stripe.
 ///
 /// Recovery contract (no-steal): dirty pages are never written back outside
-/// FlushAll(). If every unpinned frame of a stripe is dirty, that stripe
-/// grows temporarily instead of stealing, so the on-disk image always equals
-/// the last checkpoint — the precondition for deterministic logical-log
-/// replay (Section 4, "Recovery"). FlushAll() shrinks the stripes back.
+/// a checkpoint flush. If every unpinned frame of a stripe is dirty, that
+/// stripe grows temporarily instead of stealing, so the on-disk image always
+/// equals the last checkpoint — the precondition for deterministic
+/// logical-log replay (Section 4, "Recovery"). The flush shrinks the stripes
+/// back.
 ///
-/// FlushAll() is a parallel group flush: the dirty set is partitioned across
+/// The checkpoint flush has two phases. CaptureDirty() records every dirty
+/// frame (id, image, dirty generation) under the stripe latches, at a point
+/// where no page bytes are being mutated — the replica calls it between two
+/// blocks' commits. WriteCaptured() then writes the images and clears a
+/// frame's dirty bit only if its generation is unchanged since the capture.
+/// A copying capture lets the write run on another thread while later
+/// blocks fetch, evict and mutate pages: a page re-dirtied after the
+/// capture stays dirty, unevictable, and out of the disk file until the
+/// next checkpoint captures it, so no-steal holds under the concurrent
+/// flush. FlushAll() runs both phases inline with an in-place capture
+/// (pointers to the frames, which stay put while dirty), so a bulk load's
+/// checkpoint does not need a second copy of its pages.
+///
+/// The write phase is a parallel group flush: the set is partitioned across
 /// `flush_threads` writers over the DiskManager, turning the checkpoint
 /// stall from O(dirty) serial writes into O(dirty / flush_threads).
 class BufferPool {
@@ -93,12 +125,22 @@ class BufferPool {
   /// Pins a brand-new zeroed page (no disk read).
   Result<PageGuard> NewPage(PageId page_id);
 
-  /// Writes every dirty page to disk (checkpoint path). Pages stay cached.
-  /// Safe to call concurrently with fetches; concurrent FlushAll calls
-  /// serialize against each other.
+  /// Captures every dirty frame. Fetches and evictions may race it; page
+  /// bytes must not be mutated until it returns (with `copy`), or until
+  /// the set has been written (without: the set points at the frames).
+  FlushSet CaptureDirty(bool copy) const;
+
+  /// Writes a captured set back, then shrinks emergency growth. Fetches
+  /// and evictions may race it, and mutations too if the set is a copy.
+  /// Sets must be written one at a time, in capture order: a set written
+  /// after a later-captured one would put an older image on disk under a
+  /// clean frame.
+  Status WriteCaptured(const FlushSet& set);
+
+  /// CaptureDirty + WriteCaptured, inline. Pages stay cached.
   Status FlushAll();
 
-  /// Page ids currently dirty in the pool (checkpoint journaling).
+  /// Page ids currently dirty in the pool.
   std::vector<PageId> DirtyPageIds() const;
 
   /// Aggregates the per-stripe lock-free counters into a value snapshot.
@@ -120,9 +162,11 @@ class BufferPool {
     bool dirty = false;
     bool loading = false;
     bool referenced = false;
-    /// Bumped by every MarkDirty. FlushAll clears `dirty` only when the
-    /// generation still matches its snapshot, so a page re-dirtied while
-    /// its write-back was in flight stays dirty for the next flush.
+    /// Set from the stripe's generation clock by every MarkDirty (unique
+    /// within the stripe, and a page never changes stripe). WriteCaptured
+    /// clears `dirty` only when the generation still matches the capture,
+    /// so a page re-dirtied after it was captured stays dirty for the next
+    /// flush.
     uint64_t dirty_gen = 0;
   };
 
@@ -135,6 +179,7 @@ class BufferPool {
     std::unordered_map<PageId, size_t> page_table;
     size_t clock_hand = 0;
     size_t capacity = 0;
+    uint64_t gen_clock = 0;  ///< source of Frame::dirty_gen
     std::atomic<uint64_t> hits{0};
     std::atomic<uint64_t> misses{0};
     std::atomic<uint64_t> dirty_evictions{0};
@@ -144,6 +189,7 @@ class BufferPool {
     return *stripes_[page_id % stripes_.size()];
   }
 
+  Status WriteCapturedLocked(const FlushSet& set);
   void Unpin(size_t stripe, size_t frame);
   void MarkDirtyFrame(size_t stripe, size_t frame);
 
@@ -157,8 +203,7 @@ class BufferPool {
   std::vector<std::unique_ptr<Stripe>> stripes_;
   /// Writer pool for the parallel group flush (null when flush_threads<=1).
   std::unique_ptr<ThreadPool> flush_pool_;
-  /// Serializes whole FlushAll calls: the write phase runs without stripe
-  /// latches, so two overlapping flushes could otherwise race the shrink.
+  /// Serializes FlushAll calls, and WriteCaptured calls.
   std::mutex flush_mu_;
   std::atomic<uint64_t> flushed_pages_{0};
   std::atomic<uint64_t> flushes_{0};

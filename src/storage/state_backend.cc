@@ -49,16 +49,16 @@ Status DiskBackend::Erase(Key key, std::optional<std::string>* old_value) {
   return table_->Erase(key, old_value);
 }
 
-Status DiskBackend::WriteJournal(uint64_t commit_epoch) {
-  // Journal the on-disk pre-image of every page dirty in the pool, read
-  // before FlushAll overwrites it: count * (page_id, page image).
-  const std::vector<PageId> dirty = pool_->DirtyPageIds();
-  if (dirty.empty()) return Status::OK();
+Status DiskBackend::WriteJournal(const FlushSet& pages,
+                                 uint64_t commit_epoch) {
+  // Journal the on-disk pre-image of every captured page, read before the
+  // flush overwrites it: count * (page_id, page image).
+  if (pages.empty()) return Status::OK();
   int fd = ::open(journal_path_.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return Status::IOError("open journal");
   // Every write is checked: a journal cut short (ENOSPC, EFBIG) has no
   // trailer, which rollback reads as "checkpoint never started" — so the
-  // checkpoint must fail here, before FlushAll touches a single page.
+  // checkpoint must fail here, before the flush touches a single page.
   off_t off = 0;
   auto put = [&](const void* data, size_t n) {
     if (::pwrite(fd, data, n, off) != static_cast<ssize_t>(n)) return false;
@@ -66,12 +66,13 @@ Status DiskBackend::WriteJournal(uint64_t commit_epoch) {
     return true;
   };
   const Status s = [&]() -> Status {
-    const uint64_t count = dirty.size();
+    const uint64_t count = pages.size();
     if (!put(&kJournalMagic, 8) || !put(&commit_epoch, 8) || !put(&count, 8)) {
       return Status::IOError("journal header write failed");
     }
     Page img;
-    for (PageId pid : dirty) {
+    for (const CapturedPage& c : pages.pages) {
+      const PageId pid = c.page_id;
       // Pre-image straight from disk, bypassing the pool and the device
       // latency model (see DiskManager::ReadPageRaw).
       HARMONY_RETURN_NOT_OK(disk_->ReadPageRaw(pid, &img));
@@ -144,10 +145,14 @@ Status DiskBackend::RollbackJournalIfNeeded(uint64_t committed_epoch) {
   return Status::OK();
 }
 
-Status DiskBackend::Checkpoint(uint64_t commit_epoch) {
-  HARMONY_RETURN_NOT_OK(WriteJournal(commit_epoch));
+Status DiskBackend::PersistCheckpoint(const FlushSet& pages,
+                                      uint64_t commit_epoch) {
+  // The journal's pre-images are the disk's current pages: only this
+  // path writes table pages (no-steal), and the previous checkpoint has
+  // finished, so they are the previous checkpoint's images.
+  HARMONY_RETURN_NOT_OK(WriteJournal(pages, commit_epoch));
   HARMONY_CRASH_POINT("storage.checkpoint.after_journal");
-  HARMONY_RETURN_NOT_OK(pool_->FlushAll());
+  HARMONY_RETURN_NOT_OK(pool_->WriteCaptured(pages));
   HARMONY_RETURN_NOT_OK(disk_->Sync());
   if (commit_epoch == 0) {
     // Standalone mode: no external commit record to coordinate with — the

@@ -51,7 +51,27 @@ class StateBackend {
   /// replay already-applied blocks onto the new checkpoint (double-apply).
   /// commit_epoch == 0 is standalone mode — no external commit record, the
   /// journal retires as soon as the flush completes.
-  virtual Status Checkpoint(uint64_t commit_epoch = 0) = 0;
+  ///
+  /// Runs the two phases below inline, capturing in place: no write runs
+  /// until it returns, so the pages need no copy.
+  Status Checkpoint(uint64_t commit_epoch = 0) {
+    return PersistCheckpoint(CaptureCheckpoint(/*copy=*/false), commit_epoch);
+  }
+
+  /// Phase 1: captures what the checkpoint must persist (the dirty pages).
+  /// Call where no write is in progress; reads may race it. With `copy`,
+  /// writes may resume as soon as it returns; without, only once the set
+  /// is persisted.
+  virtual FlushSet CaptureCheckpoint(bool /*copy*/) { return {}; }
+
+  /// Phase 2: makes a captured set durable (journal, write, sync), with
+  /// Checkpoint()'s crash-safety and `commit_epoch` contract. May run on
+  /// another thread while later writes proceed. At most one captured set
+  /// may be outstanding: persist each before capturing the next.
+  virtual Status PersistCheckpoint(const FlushSet& /*pages*/,
+                                   uint64_t /*commit_epoch*/) {
+    return Status::OK();
+  }
 
   virtual size_t size() const = 0;
 
@@ -100,7 +120,11 @@ class DiskBackend : public StateBackend {
   Status Put(Key key, std::string_view value,
              std::optional<std::string>* old_value) override;
   Status Erase(Key key, std::optional<std::string>* old_value) override;
-  Status Checkpoint(uint64_t commit_epoch = 0) override;
+  FlushSet CaptureCheckpoint(bool copy) override {
+    return pool_->CaptureDirty(copy);
+  }
+  Status PersistCheckpoint(const FlushSet& pages,
+                           uint64_t commit_epoch) override;
   size_t size() const override { return table_->size(); }
   Status ScanAll(const std::function<void(Key, std::string_view)>& fn) override {
     return table_->ScanAll(fn);
@@ -118,7 +142,7 @@ class DiskBackend : public StateBackend {
 
  private:
   Status RollbackJournalIfNeeded(uint64_t committed_epoch);
-  Status WriteJournal(uint64_t commit_epoch);
+  Status WriteJournal(const FlushSet& pages, uint64_t commit_epoch);
 
   std::string journal_path_;
   obs::EventLog* events_ = nullptr;
@@ -128,8 +152,8 @@ class DiskBackend : public StateBackend {
 };
 
 /// Main-memory backend (Section 5.8): no pages, no buffer pool; checkpoints
-/// are a no-op (memory blockchains group-commit their logical log instead,
-/// which the chain layer already persists).
+/// capture and persist nothing (memory blockchains group-commit their
+/// logical log instead, which the chain layer already persists).
 class MemoryBackend : public StateBackend {
  public:
   MemoryBackend() = default;
@@ -138,7 +162,6 @@ class MemoryBackend : public StateBackend {
   Status Put(Key key, std::string_view value,
              std::optional<std::string>* old_value) override;
   Status Erase(Key key, std::optional<std::string>* old_value) override;
-  Status Checkpoint(uint64_t = 0) override { return Status::OK(); }
   size_t size() const override;
   Status ScanAll(const std::function<void(Key, std::string_view)>& fn) override;
 

@@ -73,10 +73,13 @@ void ParseEnvLocked(CrashState& s) {
   EmitArmEvent(s.point, s.target_hit);
 }
 
-void Kill(CrashState& s) {
+void Kill(std::unique_lock<std::mutex>& lk, CrashState& s) {
   if (s.handler) {
-    // Test mode: run the handler (under the lock; tests are single-point).
-    s.handler();
+    // Test mode: run the handler outside the lock, so a handler that
+    // blocks does not stall other threads passing other points.
+    const std::function<void()> handler = s.handler;
+    lk.unlock();
+    handler();
     return;
   }
   // Real mode: SIGKILL ourselves — no destructors, no buffered-IO flush,
@@ -103,11 +106,11 @@ struct EnvArm {
 
 void CrashPointHit(const char* name) {
   CrashState& s = State();
-  std::lock_guard<std::mutex> lk(s.mu);
+  std::unique_lock<std::mutex> lk(s.mu);
   ParseEnvLocked(s);
   if (s.point.empty() || s.point != name) return;
   const uint64_t n = ++s.hits[s.point];
-  if (n == s.target_hit) Kill(s);
+  if (n == s.target_hit) Kill(lk, s);
 }
 
 bool CrashPointTorn(const char* name, double* frac) {
@@ -124,8 +127,8 @@ bool CrashPointTorn(const char* name, double* frac) {
 
 void CrashNow() {
   CrashState& s = State();
-  std::lock_guard<std::mutex> lk(s.mu);
-  Kill(s);
+  std::unique_lock<std::mutex> lk(s.mu);
+  Kill(lk, s);
 }
 
 void ArmCrashPointForTest(const std::string& name, uint64_t hit,

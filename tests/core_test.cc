@@ -182,5 +182,50 @@ TEST(HarmonyBC, ContendedRunExportsDccCounters) {
   EXPECT_EQ(false_aborts, (*db)->stats().false_aborts.load());
 }
 
+TEST(HarmonyBC, PeriodicCheckpointsExportDurationAndWaits) {
+  // Page writes far slower than a block: each periodic checkpoint is still
+  // persisting when the next one is captured, so the commit path waits.
+  // Every periodic checkpoint lands in the duration histogram once Sync()
+  // returns (Drain waits for the one in flight).
+  TempDir dir("bc-ckpt");
+  HarmonyBC::Options opts = FastOpts(dir.path());
+  opts.checkpoint_every = 1;
+  opts.disk.write_latency_us = 20000;
+  auto db = HarmonyBC::Open(opts);
+  ASSERT_TRUE(db.ok());
+  (*db)->RegisterProcedure(1, "transfer", Transfer);
+  for (Key k = 0; k < 64; k++) ASSERT_OK((*db)->Load(k, Value({100})));
+  ASSERT_OK((*db)->Recover().status());
+  for (int i = 0; i < 80; i++) {
+    TxnRequest t;
+    t.proc_id = 1;
+    t.args.ints = {i % 64, (i + 1) % 64, 1};
+    ASSERT_OK((*db)->Submit(std::move(t)));
+  }
+  ASSERT_OK((*db)->Sync());
+
+  const obs::MetricsSnapshot snap = (*db)->CollectMetrics();
+  uint64_t waits = 0;
+  bool have_waits = false;
+  for (const auto& c : snap.counters) {
+    if (c.name == obs::kCounterCheckpointWaits) {
+      waits = c.value;
+      have_waits = true;
+    }
+  }
+  const obs::HistogramSnapshot* duration = nullptr;
+  for (const auto& h : snap.histograms) {
+    if (h.name == obs::kHistCheckpointUs) duration = &h;
+  }
+  ASSERT_TRUE(have_waits);
+  ASSERT_NE(duration, nullptr);
+  const uint64_t checkpoints = (*db)->height();  // one per block
+  EXPECT_GE(checkpoints, 10u);
+  EXPECT_EQ(duration->count, checkpoints);
+  EXPECT_GE(duration->max, opts.disk.write_latency_us);
+  EXPECT_GT(waits, 0u);
+  EXPECT_LT(waits, checkpoints);
+}
+
 }  // namespace
 }  // namespace harmony

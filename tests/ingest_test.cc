@@ -2,11 +2,13 @@
 
 #include <atomic>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "chain/block_store.h"
 #include "common/clock.h"
 #include "common/mpsc_ring.h"
+#include "common/rng.h"
 #include "core/harmonybc.h"
 #include "ingest/admission.h"
 #include "ingest/mempool.h"
@@ -245,6 +247,86 @@ TEST(Mempool, ShardRingFullIsBusyAndRollsBackDedup) {
   std::vector<TxnRequest> out;
   EXPECT_EQ(pool.TakeBatch(4, &out), 4u);
   ASSERT_OK(pool.Add(Req(1, 5)));
+}
+
+TEST(FlatKeySet, MatchesModelUnderInsertEraseChurn) {
+  // Keys share their low 4 bits, as one mempool shard's keys do, and key 0
+  // is in the mix: the set must spread them and agree with a reference set
+  // through growth and backward-shift erases.
+  FlatKeySet set;
+  std::unordered_set<uint64_t> model;
+  Rng rng(0xF1A7);
+  for (int op = 0; op < 40000; op++) {
+    const uint64_t key = rng.Uniform(3000) << 4 | 5;
+    const uint64_t k = key == (7 << 4 | 5) ? 0 : key;
+    if (rng.Chance(0.6)) {
+      EXPECT_EQ(set.Insert(k), model.insert(k).second) << "insert " << k;
+    } else {
+      set.Erase(k);
+      model.erase(k);
+    }
+    ASSERT_EQ(set.size(), model.size());
+  }
+  for (uint64_t i = 0; i < 3000; i++) {
+    const uint64_t key = i << 4 | 5;
+    const uint64_t k = key == (7 << 4 | 5) ? 0 : key;
+    const bool present = !set.Insert(k);
+    if (!present) set.Erase(k);
+    EXPECT_EQ(present, model.count(k) == 1) << "key " << k;
+  }
+}
+
+TEST(Mempool, DedupWindowHoldsExactlyTheLastWindowOfKeys) {
+  // A window large enough to grow the flat set several times: every key in
+  // the last `window` admissions is a duplicate, every older one has aged
+  // out and is admitted again.
+  constexpr uint64_t kWindow = 1000;
+  MempoolOptions mo;
+  mo.shards = 1;
+  mo.dedup_window = kWindow;
+  Mempool pool(mo);
+  std::vector<TxnRequest> out;
+  for (uint64_t seq = 1; seq <= 3 * kWindow; seq++) {
+    ASSERT_OK(pool.Add(Req(3, seq)));
+    if (seq % 100 == 0) {
+      out.clear();
+      pool.TakeBatch(100, &out);
+    }
+  }
+  for (uint64_t seq = 2 * kWindow + 1; seq <= 3 * kWindow; seq += 7) {
+    EXPECT_TRUE(pool.Add(Req(3, seq)).IsInvalidArgument()) << seq;
+  }
+  for (uint64_t seq = 1; seq <= 2 * kWindow; seq += 7) {
+    out.clear();
+    pool.TakeBatch(100, &out);
+    EXPECT_OK(pool.Add(Req(3, seq)));
+  }
+}
+
+TEST(Mempool, RolledBackAdmissionForgetsOnlyItsOwnKey) {
+  // A ring-full rollback erases its key from a set holding many others; the
+  // erase must not drop a neighbour from the window.
+  MempoolOptions mo;
+  mo.shards = 1;
+  mo.ring_capacity = 4;
+  Mempool pool(mo);
+  std::vector<TxnRequest> out;
+  uint64_t seq = 1;
+  for (; seq <= 400; seq++) {
+    ASSERT_OK(pool.Add(Req(5, seq)));
+    out.clear();
+    pool.TakeBatch(4, &out);
+  }
+  for (uint64_t i = 0; i < 4; i++) ASSERT_OK(pool.Add(Req(5, seq + i)));
+  const uint64_t rejected = seq + 4;
+  EXPECT_TRUE(pool.Add(Req(5, rejected)).IsBusy());
+  for (uint64_t old = 1; old < seq + 4; old++) {
+    EXPECT_TRUE(pool.Add(Req(5, old)).IsInvalidArgument()) << old;
+  }
+  out.clear();
+  pool.TakeBatch(4, &out);
+  ASSERT_OK(pool.Add(Req(5, rejected)));
+  EXPECT_TRUE(pool.Add(Req(5, rejected)).IsInvalidArgument());
 }
 
 // ------------------------------------------------------ mempool lanes -----

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <thread>
 
+#include "common/clock.h"
 #include "consensus/orderer.h"
 #include "core/harmonybc.h"
 #include "replica/replica.h"
+#include "testing/crash_point.h"
 #include "tests/test_util.h"
 #include "workload/smallbank.h"
 
@@ -199,6 +204,117 @@ TEST(Replica, RecoverFailsOnCorruptPreCheckpointRecordBeforeReplay) {
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(v->field(0), 5);  // the checkpointed state, nothing replayed
 }
+
+// A checkpoint persists on the replica's worker while later blocks commit.
+// Crash at a point inside that worker after blocks past the checkpoint have
+// committed: the on-disk image is then a torn or unmanifested checkpoint
+// plus a block log running ahead of it, and recovery must still reach the
+// state of a replica that never crashed.
+class InFlightCheckpointCrashTest
+    : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(InFlightCheckpointCrashTest, RecoversToReferenceDigest) {
+  TempDir dir("ckpt-live");
+  TempDir image("ckpt-image");
+  TempDir ref_dir("ckpt-ref");
+  ReplicaOptions opts = FastOptions(dir.path(), DccKind::kHarmony);
+  // One flush writer: the crash point then stops the whole flush, and the
+  // file copy below is a consistent crash image.
+  opts.flush_threads = 1;
+  constexpr BlockId kBlocks = 8;  // checkpoint at 5; 6..8 commit after it
+  std::vector<std::vector<TxnRequest>> blocks;
+  Rng rng(11);
+  for (BlockId b = 0; b < kBlocks; b++) {
+    std::vector<TxnRequest> txns;
+    for (int i = 0; i < 6; i++) {
+      txns.push_back(Incr(rng.Uniform(40), rng.UniformRange(1, 9)));
+    }
+    blocks.push_back(std::move(txns));
+  }
+  auto genesis = [](Replica& r) {
+    for (Key k = 0; k < 40; k++) ASSERT_OK(r.LoadRow(k, Value({0})));
+    ASSERT_OK(r.Checkpoint());
+  };
+
+  Digest want;
+  {
+    ReplicaOptions ro = opts;
+    ro.dir = ref_dir.path();
+    Replica ref(ro);
+    ASSERT_OK(ref.Open());
+    RegisterCounterProc(ref);
+    genesis(ref);
+    KafkaOrderer ord("orderer-secret", NetworkModel{});
+    for (const auto& t : blocks) ASSERT_OK(ref.SubmitBlock(NextBlock(ord, t)));
+    ASSERT_OK(ref.Drain());
+    auto d = ref.StateDigest();
+    ASSERT_TRUE(d.ok());
+    want = *d;
+  }
+
+  std::atomic<bool> entered{false};
+  std::atomic<bool> release{false};
+  {
+    Replica r(opts);
+    ASSERT_OK(r.Open());
+    RegisterCounterProc(r);
+    genesis(r);
+    // The handler parks the checkpoint worker at the point; the gate below
+    // is declared after the replica, so it reopens before ~Replica waits
+    // for the worker, whatever assertion returns early.
+    testing::ArmCrashPointForTest(GetParam(), /*hit=*/1, [&] {
+      entered.store(true);
+      while (!release.load()) std::this_thread::yield();
+    });
+    struct Gate {
+      std::atomic<bool>* open;
+      ~Gate() {
+        open->store(true);
+        testing::DisarmCrashPoints();
+      }
+    } gate{&release};
+    KafkaOrderer ord("orderer-secret", NetworkModel{});
+    for (const auto& t : blocks) ASSERT_OK(r.SubmitBlock(NextBlock(ord, t)));
+    const uint64_t deadline = NowMicros() + 20'000'000;
+    while ((r.last_committed() < kBlocks || !entered.load()) &&
+           NowMicros() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(r.last_committed(), kBlocks);
+    ASSERT_TRUE(entered.load()) << GetParam() << " never fired";
+    // The crash image: every file as the worker left it at the point.
+    for (const auto& e : std::filesystem::directory_iterator(dir.path())) {
+      std::filesystem::copy(e.path(), image.path() + "/" +
+                                          e.path().filename().string());
+    }
+    release.store(true);
+    ASSERT_OK(r.Drain());
+  }
+
+  ReplicaOptions ro = opts;
+  ro.dir = image.path();
+  Replica recovered(ro);
+  ASSERT_OK(recovered.Open());
+  RegisterCounterProc(recovered);
+  auto tip = recovered.Recover();
+  ASSERT_TRUE(tip.ok()) << tip.status().ToString();
+  EXPECT_EQ(*tip, kBlocks);
+  auto got = recovered.StateDigest();
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(DigestToHex(*got), DigestToHex(want));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CrashPoints, InFlightCheckpointCrashTest,
+    ::testing::Values("replica.checkpoint.before_manifest",
+                      "storage.flush.mid"),
+    [](const ::testing::TestParamInfo<const char*>& info) {
+      std::string s(info.param);
+      for (char& c : s) {
+        if (c == '.') c = '_';
+      }
+      return s;
+    });
 
 class SessionChainReplayTest : public ::testing::TestWithParam<DccKind> {};
 

@@ -168,9 +168,11 @@ TEST(StripedPoolProperty, ConcurrentFetchFlushEvictMatchesModel) {
   // 8 mutator threads over disjoint page sets, racing a checkpoint thread
   // that flushes mid-stream. The pool (capacity 32 = 4 stripes) is far
   // smaller than the 160-page working set, so eviction and no-steal growth
-  // run constantly. Mutators and the flusher share an rwlock mirroring the
-  // production contract (page *bytes* are never mutated during FlushAll;
-  // fetches and evictions race it freely).
+  // run constantly. FlushAll captures in place (it writes from the frames
+  // themselves), so page *bytes* must not change until it returns: mutators
+  // and the flusher share an rwlock for that, while fetches and evictions
+  // race the flush freely. The copying capture, whose write phase may race
+  // mutation too, is CapturedFlushRacesMutationFetchAndEviction below.
   constexpr size_t kPages = 160;
   constexpr size_t kThreads = 8;
   constexpr size_t kOpsPerThread = 2500;
@@ -209,8 +211,8 @@ TEST(StripedPoolProperty, ConcurrentFetchFlushEvictMatchesModel) {
         break;
       }
       if (rng.Chance(0.5)) {
-        // Byte mutation excluded from FlushAll's write phase (see above);
-        // only the owner thread touches this page's bytes and version.
+        // Byte mutation excluded from FlushAll (see above); only the owner
+        // thread touches this page's bytes and version.
         std::shared_lock<std::shared_mutex> lk(flush_gate);
         version[p]++;
         StampPage(g->data(), p, version[p]);
@@ -255,6 +257,99 @@ TEST(StripedPoolProperty, ConcurrentFetchFlushEvictMatchesModel) {
     auto g = verify.FetchPage(p);
     ASSERT_OK(g.status());
     EXPECT_TRUE(CheckPage(g->data(), p, version[p])) << "page " << p;
+  }
+}
+
+TEST(StripedPoolProperty, CapturedFlushRacesMutationFetchAndEviction) {
+  // The checkpoint worker's contract: a copying CaptureDirty at a quiesced
+  // point, then WriteCaptured racing mutators that re-dirty captured pages
+  // and fetch others through a pool far smaller than the working set (so
+  // eviction and no-steal growth race the write and its trailing shrink).
+  // After every round: disk holds exactly the last captured image of each
+  // page, every page whose memory differs from disk is still dirty (a
+  // re-dirtied frame kept its bit), and a frame pinned across the write
+  // survived the shrink.
+  constexpr size_t kPages = 160;
+  constexpr size_t kThreads = 4;
+  constexpr size_t kPinned = 4;  // pages kPages-kPinned.. are pinned, not raced
+  constexpr size_t kRounds = 25;
+  TempDir dir("captured");
+  DiskModel slow_writes = DiskModel::RamDisk();
+  slow_writes.write_latency_us = 20;  // keep the write phase open a while
+  DiskManager dm(dir.path() + "/pool.db", slow_writes);
+  BufferPool pool(&dm, 32, /*stripes=*/8, /*flush_threads=*/4);
+
+  std::vector<uint64_t> version(kPages, 0);
+  std::vector<uint64_t> durable(kPages, 0);
+  for (PageId p = 0; p < kPages; p++) {
+    auto g = pool.NewPage(p);
+    ASSERT_OK(g.status());
+    StampPage(g->data(), p, 0);
+    g->MarkDirty();
+  }
+  ASSERT_OK(pool.FlushAll());
+
+  Rng rng(0xCA97);
+  for (size_t round = 0; round < kRounds; round++) {
+    // Quiesced: dirty about a third of the pages, pinned ones included.
+    for (PageId p = 0; p < kPages; p++) {
+      if (!rng.Chance(0.35)) continue;
+      auto g = pool.FetchPage(p);
+      ASSERT_OK(g.status());
+      StampPage(g->data(), p, ++version[p]);
+      g->MarkDirty();
+    }
+    const FlushSet set = pool.CaptureDirty(/*copy=*/true);
+    std::vector<uint64_t> captured = durable;
+    for (const CapturedPage& c : set.pages) captured[c.page_id] = version[c.page_id];
+
+    const PageId pinned_id = static_cast<PageId>(kPages - 1 - round % kPinned);
+    auto pinned = pool.FetchPage(pinned_id);
+    ASSERT_OK(pinned.status());
+
+    std::atomic<bool> failed{false};
+    std::thread writer([&] {
+      if (!pool.WriteCaptured(set).ok()) failed.store(true);
+    });
+    std::vector<std::thread> mutators;
+    for (size_t t = 0; t < kThreads; t++) {
+      mutators.emplace_back([&, t] {
+        Rng r(round * 131 + t);
+        for (int op = 0; op < 200 && !failed.load(); op++) {
+          const PageId p = static_cast<PageId>(
+              r.Uniform((kPages - kPinned) / kThreads) * kThreads + t);
+          auto g = pool.FetchPage(p);
+          if (!g.ok() || !CheckPage(g->data(), p, version[p])) {
+            failed.store(true);
+            break;
+          }
+          if (r.Chance(0.5)) {
+            StampPage(g->data(), p, ++version[p]);
+            g->MarkDirty();
+          }
+        }
+      });
+    }
+    writer.join();
+    for (auto& th : mutators) th.join();
+    ASSERT_FALSE(failed.load()) << "round " << round;
+    EXPECT_TRUE(CheckPage(pinned->data(), pinned_id, version[pinned_id]));
+    pinned->Release();
+    durable = captured;
+
+    const std::vector<PageId> dirty_ids = pool.DirtyPageIds();
+    std::vector<bool> dirty(kPages, false);
+    for (PageId p : dirty_ids) dirty[p] = true;
+    Page img;
+    for (PageId p = 0; p < kPages; p++) {
+      ASSERT_OK(dm.ReadPageRaw(p, &img));
+      ASSERT_TRUE(CheckPage(img.data, p, durable[p]))
+          << "round " << round << " page " << p;
+      if (version[p] != durable[p]) {
+        ASSERT_TRUE(dirty[p]) << "round " << round << " page " << p
+                              << " changed but lost its dirty bit";
+      }
+    }
   }
 }
 

@@ -41,6 +41,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -363,6 +364,7 @@ Schedule PlanSchedule(uint64_t run_seed, uint64_t k, bool truncate_mode) {
         std::strncmp(s.point.c_str(), "repl.", 5) == 0 || rng.Chance(0.35);
     return s;
   }
+  s.txns = rng.Range(48, 120);
   s.migrate = rng.Chance(0.2);
   s.migrate_blocks = s.migrate ? 2 + rng.Index(6) : 0;
 
@@ -534,6 +536,14 @@ bool VerifySchedule(const std::string& dir,
   return true;
 }
 
+/// Per crash point: schedules that armed it, and schedules whose child it
+/// killed. A point that never kills is dead weight in the schedule pool.
+struct PointTally {
+  uint64_t planned = 0;
+  uint64_t fired = 0;
+};
+std::map<std::string, PointTally> g_tally;
+
 int RunSchedule(const std::string& exe, const std::string& base_dir,
                 uint64_t run_seed, uint64_t k, bool keep,
                 bool truncate_mode) {
@@ -588,6 +598,9 @@ int RunSchedule(const std::string& exe, const std::string& base_dir,
   const bool killed =
       WIFSIGNALED(wstatus) && WTERMSIG(wstatus) == SIGKILL;
   const bool completed = WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0;
+  PointTally& tally = g_tally[plan.point];
+  tally.planned++;
+  if (killed) tally.fired++;
   if (!killed && !completed) {
     std::fprintf(stderr,
                  "schedule %" PRIu64 " (%s): child failed (wstatus 0x%x)\n"
@@ -719,6 +732,10 @@ int TortureMain(int argc, char** argv) {
   std::printf("torture%s: %" PRIu64 " schedule(s) passed (seed %" PRIu64
               ", digests verified against reference replay)\n",
               truncate_mode ? " (truncate mode)" : "", last - first, seed);
+  for (const auto& [point, t] : g_tally) {
+    std::printf("  %-36s killed %3" PRIu64 " of %3" PRIu64 " schedules\n",
+                point.c_str(), t.fired, t.planned);
+  }
   return 0;
 }
 
