@@ -144,14 +144,14 @@ inline std::string LastDigestLine(const std::string& log) {
                                                   : eol - pos);
 }
 
-/// One STATS round-trip; 0 on connect/timeout failure (node down).
+/// One HEALTH round-trip; 0 on connect/timeout failure (node down).
 inline uint64_t NodeHeight(uint16_t port) {
   net::NetClientOptions co;
   co.port = port;
   auto client = net::NetClient::Connect(co);
   if (!client.ok()) return 0;
-  auto stats = (*client)->Stats(/*timeout_us=*/2'000'000);
-  return stats.ok() ? stats->height : 0;
+  auto health = (*client)->Health(/*timeout_us=*/2'000'000);
+  return health.ok() ? health->height : 0;
 }
 
 }  // namespace bench

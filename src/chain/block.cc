@@ -16,19 +16,14 @@ void BlockCodec::EncodeTxn(const TxnRequest& t, std::string* out) {
   codec::AppendBytes(out, t.args.blob);
 }
 
-bool BlockCodec::DecodeTxn(codec::Reader* r, TxnRequest* out,
-                           uint32_t log_version) {
+bool BlockCodec::DecodeTxn(codec::Reader* r, TxnRequest* out) {
   uint32_t n_ints = 0;
-  out->client_id = 0;
-  out->fee = 0;
-  if (!r->ReadU32(&out->proc_id)) return false;
-  if (log_version >= kLogV2 && !r->ReadU64(&out->client_id)) return false;
-  if (!r->ReadU64(&out->client_seq) || !r->ReadU64(&out->submit_time_us) ||
-      !r->ReadU32(&out->retries)) {
+  if (!r->ReadU32(&out->proc_id) || !r->ReadU64(&out->client_id) ||
+      !r->ReadU64(&out->client_seq) || !r->ReadU64(&out->submit_time_us) ||
+      !r->ReadU32(&out->retries) || !r->ReadU64(&out->fee) ||
+      !r->ReadU32(&n_ints)) {
     return false;
   }
-  if (log_version >= kLogV3 && !r->ReadU64(&out->fee)) return false;
-  if (!r->ReadU32(&n_ints)) return false;
   // Bound the resize by the bytes actually present: a corrupt count must
   // fail the parse, not size a multi-gigabyte allocation.
   if (static_cast<uint64_t>(n_ints) * 8 > r->remaining()) return false;
@@ -39,25 +34,38 @@ bool BlockCodec::DecodeTxn(codec::Reader* r, TxnRequest* out,
   return r->ReadBytes(&out->args.blob);
 }
 
-std::string BlockCodec::Encode(const Block& b) {
-  std::string out;
-  codec::AppendU64(&out, b.header.block_id);
-  codec::AppendU64(&out, b.header.first_tid);
-  codec::AppendU32(&out, b.header.txn_count);
-  codec::AppendU64(&out, b.header.order_time_us);
-  out.append(reinterpret_cast<const char*>(b.header.prev_hash.data()), 32);
-  out.append(reinterpret_cast<const char*>(b.header.txn_root.data()), 32);
-  out.append(reinterpret_cast<const char*>(b.header.block_hash.data()), 32);
-  out.append(reinterpret_cast<const char*>(b.header.signature.data()), 32);
-  for (const TxnRequest& t : b.batch.txns) EncodeTxn(t, &out);
-  return out;
-}
-
 namespace {
 
-/// Parses `count` transactions laid out per `log_version` into the batch.
-Status DecodeTxnSection(codec::Reader* r, uint32_t count,
-                        uint32_t log_version, TxnBatch* batch) {
+/// The fixed-width block header both layouts (raw and v4 record) open with.
+void AppendHeader(const BlockHeader& h, std::string* out) {
+  codec::AppendU64(out, h.block_id);
+  codec::AppendU64(out, h.first_tid);
+  codec::AppendU32(out, h.txn_count);
+  codec::AppendU64(out, h.order_time_us);
+  for (const Digest* d :
+       {&h.prev_hash, &h.txn_root, &h.block_hash, &h.signature}) {
+    out->append(reinterpret_cast<const char*>(d->data()), d->size());
+  }
+}
+
+Status ReadHeader(codec::Reader* r, Block* out) {
+  BlockHeader& h = out->header;
+  if (!r->ReadU64(&h.block_id) || !r->ReadU64(&h.first_tid) ||
+      !r->ReadU32(&h.txn_count) || !r->ReadU64(&h.order_time_us)) {
+    return Status::Corruption("block header truncated");
+  }
+  for (Digest* d : {&h.prev_hash, &h.txn_root, &h.block_hash, &h.signature}) {
+    if (!r->ReadFixed(d->data(), d->size())) {
+      return Status::Corruption("digest truncated");
+    }
+  }
+  out->batch.block_id = h.block_id;
+  out->batch.first_tid = h.first_tid;
+  return Status::OK();
+}
+
+/// Parses `count` transactions into the batch.
+Status DecodeTxnSection(codec::Reader* r, uint32_t count, TxnBatch* batch) {
   if (static_cast<uint64_t>(count) * 4 > r->remaining() + 4) {
     // Each txn is at least proc_id + counts (> 4 bytes); a count that the
     // remaining bytes cannot possibly carry must not size the resize below.
@@ -65,7 +73,7 @@ Status DecodeTxnSection(codec::Reader* r, uint32_t count,
   }
   batch->txns.resize(count);
   for (uint32_t i = 0; i < count; i++) {
-    if (!BlockCodec::DecodeTxn(r, &batch->txns[i], log_version)) {
+    if (!BlockCodec::DecodeTxn(r, &batch->txns[i])) {
       return Status::Corruption("txn truncated");
     }
   }
@@ -74,37 +82,51 @@ Status DecodeTxnSection(codec::Reader* r, uint32_t count,
 
 }  // namespace
 
-Status BlockCodec::Decode(std::string_view bytes, Block* out,
-                          uint32_t log_version) {
+std::string BlockCodec::EncodeRaw(const Block& b) {
+  std::string out;
+  AppendHeader(b.header, &out);
+  for (const TxnRequest& t : b.batch.txns) EncodeTxn(t, &out);
+  return out;
+}
+
+Status BlockCodec::DecodeRaw(std::string_view bytes, Block* out) {
   codec::Reader r(bytes);
-  uint64_t block_id = 0, first_tid = 0, order_time = 0;
-  uint32_t txn_count = 0;
-  if (!r.ReadU64(&block_id) || !r.ReadU64(&first_tid) ||
-      !r.ReadU32(&txn_count) || !r.ReadU64(&order_time)) {
-    return Status::Corruption("block header truncated");
+  HARMONY_RETURN_NOT_OK(ReadHeader(&r, out));
+  HARMONY_RETURN_NOT_OK(
+      DecodeTxnSection(&r, out->header.txn_count, &out->batch));
+  if (r.remaining() != 0) return Status::Corruption("trailing block bytes");
+  return Status::OK();
+}
+
+std::string BlockCodec::EncodeRecordV4(const Block& b, Compression codec,
+                                       size_t* raw_section_bytes,
+                                       Compression* used_codec) {
+  std::string out;
+  AppendHeader(b.header, &out);
+  std::string section;
+  for (const TxnRequest& t : b.batch.txns) EncodeTxn(t, &section);
+  const size_t raw_len = section.size();
+  if (raw_section_bytes != nullptr) *raw_section_bytes = raw_len;
+  std::string stored;
+  if (codec != Compression::kNone) CompressPayload(codec, section, &stored);
+  // Per-block fallback: a section compression cannot shrink is stored raw,
+  // so a v4 record is never larger than the raw layout plus the 10-byte
+  // envelope (u16 codec+pad, u32 raw_len, u32 stored_len).
+  if (codec == Compression::kNone || stored.size() >= section.size()) {
+    codec = Compression::kNone;
+    stored = std::move(section);
   }
-  out->header.block_id = block_id;
-  out->header.first_tid = first_tid;
-  out->header.txn_count = txn_count;
-  out->header.order_time_us = order_time;
-  // Digests are fixed-width raw bytes.
-  for (Digest* d : {&out->header.prev_hash, &out->header.txn_root,
-                    &out->header.block_hash, &out->header.signature}) {
-    for (size_t i = 0; i < 32; i += 8) {
-      uint64_t chunk;
-      if (!r.ReadU64(&chunk)) return Status::Corruption("digest truncated");
-      std::memcpy(d->data() + i, &chunk, 8);
-    }
-  }
-  out->batch.block_id = block_id;
-  out->batch.first_tid = first_tid;
-  if (log_version < kLogV4) {
-    HARMONY_RETURN_NOT_OK(
-        DecodeTxnSection(&r, txn_count, log_version, &out->batch));
-    if (r.remaining() != 0) return Status::Corruption("trailing block bytes");
-    return Status::OK();
-  }
-  // v4: the txn section rides a compression envelope —
+  if (used_codec != nullptr) *used_codec = codec;
+  codec::AppendU16(&out, static_cast<uint16_t>(codec));  // u8 codec + pad
+  codec::AppendU32(&out, static_cast<uint32_t>(raw_len));
+  codec::AppendBytes(&out, stored);
+  return out;
+}
+
+Status BlockCodec::DecodeRecordV4(std::string_view bytes, Block* out) {
+  codec::Reader r(bytes);
+  HARMONY_RETURN_NOT_OK(ReadHeader(&r, out));
+  // The txn section rides a compression envelope —
   //   u8 codec, u32 raw_len, u32 stored_len + stored bytes.
   uint8_t codec_byte = 0;
   {
@@ -127,44 +149,12 @@ Status BlockCodec::Decode(std::string_view bytes, Block* out,
   HARMONY_RETURN_NOT_OK(DecompressPayload(
       static_cast<Compression>(codec_byte), stored, raw_len, &section));
   codec::Reader sr(section);
-  HARMONY_RETURN_NOT_OK(DecodeTxnSection(&sr, txn_count, kLogV3, &out->batch));
+  HARMONY_RETURN_NOT_OK(
+      DecodeTxnSection(&sr, out->header.txn_count, &out->batch));
   if (sr.remaining() != 0) {
     return Status::Corruption("trailing txn-section bytes");
   }
   return Status::OK();
-}
-
-std::string BlockCodec::EncodeRecordV4(const Block& b, Compression codec,
-                                       size_t* raw_section_bytes,
-                                       Compression* used_codec) {
-  std::string out;
-  codec::AppendU64(&out, b.header.block_id);
-  codec::AppendU64(&out, b.header.first_tid);
-  codec::AppendU32(&out, b.header.txn_count);
-  codec::AppendU64(&out, b.header.order_time_us);
-  out.append(reinterpret_cast<const char*>(b.header.prev_hash.data()), 32);
-  out.append(reinterpret_cast<const char*>(b.header.txn_root.data()), 32);
-  out.append(reinterpret_cast<const char*>(b.header.block_hash.data()), 32);
-  out.append(reinterpret_cast<const char*>(b.header.signature.data()), 32);
-
-  std::string section;
-  for (const TxnRequest& t : b.batch.txns) EncodeTxn(t, &section);
-  const size_t raw_len = section.size();
-  if (raw_section_bytes != nullptr) *raw_section_bytes = raw_len;
-  std::string stored;
-  if (codec != Compression::kNone) CompressPayload(codec, section, &stored);
-  // Per-block fallback: a section compression cannot shrink is stored raw,
-  // so a v4 record is never larger than its v3 equivalent plus the 10-byte
-  // envelope (u16 codec+pad, u32 raw_len, u32 stored_len).
-  if (codec == Compression::kNone || stored.size() >= section.size()) {
-    codec = Compression::kNone;
-    stored = std::move(section);
-  }
-  if (used_codec != nullptr) *used_codec = codec;
-  codec::AppendU16(&out, static_cast<uint16_t>(codec));  // u8 codec + pad
-  codec::AppendU32(&out, static_cast<uint32_t>(raw_len));
-  codec::AppendBytes(&out, stored);
-  return out;
 }
 
 Digest BlockCodec::TxnRoot(const TxnBatch& batch) {

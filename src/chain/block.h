@@ -10,18 +10,10 @@
 
 namespace harmony {
 
-/// Block log format versions (docs/FORMATS.md has the byte-level reference).
-/// The version governs both the record envelope and the per-transaction
-/// codec inside it; BlockStore stamps the current version into new logs and
-/// migrates older ones on open.
-///  - kLogV1 — seed format: headerless file, txns carry no client_id/fee.
-///  - kLogV2 — magic/version file header; client_id added to the txn codec.
-///  - kLogV3 — priority fee added to the txn codec.
-///  - kLogV4 — the sealed txn section is compressed per block (pluggable
-///             Compression codec, raw fallback); txn codec unchanged from v3.
-inline constexpr uint32_t kLogV1 = 1;
-inline constexpr uint32_t kLogV2 = 2;
-inline constexpr uint32_t kLogV3 = 3;
+/// Block log format version (docs/FORMATS.md has the byte-level reference).
+/// BlockStore stamps it into every log's header and refuses any other:
+/// the txn section of each record is compressed per block (pluggable
+/// Compression codec, raw fallback).
 inline constexpr uint32_t kLogV4 = 4;
 inline constexpr uint32_t kLogVersion = kLogV4;
 
@@ -49,29 +41,25 @@ struct Block {
 /// format and the ordering-service wire format).
 class BlockCodec {
  public:
-  /// Current (v3+) transaction layout; also the wire SUBMIT payload.
+  /// The transaction layout; also the wire SUBMIT payload.
   static void EncodeTxn(const TxnRequest& t, std::string* out);
-  /// Version-aware parse: kLogV1 has no client_id/fee, kLogV2 no fee,
-  /// kLogV3 and later are the current layout. Missing fields default to 0.
-  static bool DecodeTxn(codec::Reader* r, TxnRequest* out,
-                        uint32_t log_version = kLogVersion);
+  static bool DecodeTxn(codec::Reader* r, TxnRequest* out);
 
-  /// Raw (uncompressed, v3-layout) block bytes: header + txns.
-  static std::string Encode(const Block& b);
-  /// Parses one block-record payload written by the given log version:
-  /// v1–v3 are raw header + per-version txns; v4 wraps the txn section in a
-  /// compression envelope (codec byte + raw length + stored bytes).
-  static Status Decode(std::string_view bytes, Block* out,
-                       uint32_t log_version = kLogV3);
+  /// Raw (uncompressed) block bytes: header + txns. The REPLICATE payload
+  /// (net/wire.h) carries this layout.
+  static std::string EncodeRaw(const Block& b);
+  static Status DecodeRaw(std::string_view bytes, Block* out);
 
-  /// Encodes a v4 record payload, compressing the txn section with `codec`.
-  /// Falls back to Compression::kNone per block when compression does not
-  /// shrink the section. `raw_section_bytes` (optional) receives the
-  /// uncompressed txn-section size and `used_codec` the codec actually
-  /// stored, for compression-ratio accounting.
+  /// Encodes a v4 log-record payload: the same header, then the txn section
+  /// in a compression envelope (codec byte + raw length + stored bytes),
+  /// compressed with `codec`. Falls back to Compression::kNone per block
+  /// when compression does not shrink the section. `raw_section_bytes`
+  /// (optional) receives the uncompressed txn-section size and `used_codec`
+  /// the codec actually stored, for compression-ratio accounting.
   static std::string EncodeRecordV4(const Block& b, Compression codec,
                                     size_t* raw_section_bytes = nullptr,
                                     Compression* used_codec = nullptr);
+  static Status DecodeRecordV4(std::string_view bytes, Block* out);
 
   /// Digest over the serialized transaction batch.
   static Digest TxnRoot(const TxnBatch& batch);

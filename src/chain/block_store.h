@@ -38,46 +38,32 @@ class EventLog;
 ///
 /// All integers are little-endian (the codec's native byte order).
 ///
-/// ### Version history (kLogV1..kLogV4, chain/block.h)
-///  - v1 — PR 0 seed; *no header at all* (the file begins with a record
-///         length); txns carry no client_id/fee.
-///  - v2 — PR 1: 8-byte magic/version header introduced; `client_id`
-///         added to the transaction wire format.
-///  - v3 — priority `fee` added to the transaction wire format.
-///  - v4 — the record payload's txn section rides a per-block compression
-///         envelope (u8 codec + u32 raw_len + stored bytes); blocks whose
-///         section does not shrink fall back to Compression::kNone.
-///
-/// ### Older logs: migrated on open
-/// Open() reads v1–v3 logs (the per-version txn codecs are kept in
-/// BlockCodec::DecodeTxn) and transparently rewrites them as v4 — records
-/// re-encoded with the store's compression codec — via write-temp + rename,
-/// so a crash mid-migration leaves the original intact and the next open
-/// redoes it. After Open() the writable file is always v4.
-///
 /// ### Failure semantics
 /// Torn tails (crash mid-append) are detected by CRC/length and truncated
-/// on Open(). An unrecognized magic or a format version newer than this
-/// build is an explicit NotSupported open error, never a silent truncation
-/// — treating an unknown log as one giant torn tail would wipe the chain.
-/// A record whose CRC passes but whose compressed payload fails to
-/// decompress or parse is Corruption on read (and a torn tail on open).
+/// on Open(). A file of at least 8 bytes whose header is not exactly
+/// {kLogMagic, kLogV4} — an older log version, a newer one, or not a block
+/// log at all — is an explicit NotSupported open error, and the file is
+/// left untouched: treating an unknown log as one giant torn tail would
+/// wipe the chain. A record whose CRC passes but whose compressed payload
+/// fails to decompress or parse is Corruption on read (and a torn tail on
+/// open).
 class BlockStore {
  public:
   /// `sync_latency_us` is the modelled group-commit flush cost charged per
   /// append (the simulated device's fsync latency). The host-filesystem
-  /// fsync is intentionally not issued on the hot path — the simulation
-  /// never hard-kills the process, and a real fsync would inject the host
-  /// disk's uncontrolled latency into every block. `compression` is the
-  /// codec new blocks are stored with (per-block raw fallback; kNone writes
-  /// v4 envelopes with every section raw).
+  /// fsync is intentionally not issued on the hot path: the benchmarks
+  /// model a device with a fixed sync latency, and a real fsync would add
+  /// the host disk's uncontrolled latency to every block. A SIGKILL loses
+  /// nothing the page cache already holds, which is what the torture runs
+  /// check; durability across a power cut is an open item (ROADMAP.md).
+  /// `compression` is the codec new blocks are stored with (per-block raw
+  /// fallback; kNone writes v4 envelopes with every section raw).
   explicit BlockStore(std::string path, uint64_t sync_latency_us = 150,
                       Compression compression = Compression::kHlz);
   ~BlockStore();
 
-  /// Optional structured event log: Open() emits a log_migrate event when
-  /// it rewrites a pre-v4 log; TruncateBefore emits a log_truncate event.
-  /// Set before Open(); nullptr disables.
+  /// Optional structured event log: TruncateBefore emits a log_truncate
+  /// event. nullptr disables.
   void SetEventLog(obs::EventLog* events) { events_ = events; }
 
   /// When enabled, TruncateBefore appends the records it drops to
@@ -86,8 +72,8 @@ class BlockStore {
   /// the same records twice; ReadArchivedBlocks dedups by block id.
   void SetArchiveTruncated(bool on) { archive_truncated_ = on; }
 
-  /// Opens the log and scans it, truncating a torn tail if present;
-  /// migrates pre-v4 logs to v4 first (see class comment).
+  /// Opens the log and scans it, truncating a torn tail if present.
+  /// NotSupported for any header but the current one (see class comment).
   Status Open();
 
   /// Appends one block with the modelled group-commit flush. Thread-safe and
@@ -118,9 +104,8 @@ class BlockStore {
   /// Drops every record with block_id < keep_from — the checkpoint-anchored
   /// retention path: once the manifest proves state through block B durable,
   /// records below the retention window are dead weight for recovery.
-  /// Rewrites the log via write-temp (<path>.truncate) + rename, the same
-  /// crash discipline as migrate-on-open: a SIGKILL anywhere yields either
-  /// the old log or the new one, never a torn mix. Waits for in-flight
+  /// Rewrites the log via write-temp (<path>.truncate) + rename: a SIGKILL
+  /// anywhere yields either the old log or the new one, never a torn mix. Waits for in-flight
   /// appends; the chain tip and last_block_id() are unchanged. No-op when
   /// nothing falls below keep_from.
   Status TruncateBefore(BlockId keep_from);
@@ -186,8 +171,6 @@ class BlockStore {
 
  private:
   Status ScanAndRepair();
-  /// Rewrites a v1–v3 log as v4 (write-temp + rename) and reopens it.
-  Status Migrate(uint32_t from_version);
 
   std::string path_;
   uint64_t sync_latency_us_;

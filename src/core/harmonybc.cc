@@ -272,11 +272,11 @@ obs::MetricsSnapshot HarmonyBC::CollectMetrics() {
   tracer_->height->Set(static_cast<int64_t>(height()));
   tracer_->pending_receipts->Set(static_cast<int64_t>(pending_receipts()));
   tracer_->queue_depth->Set(static_cast<int64_t>(queue_depth()));
-  // Storage engine and DCC instruments are sampled the same way: the pool,
-  // the block log and the protocol keep their own relaxed counters; this
-  // mirrors them into the registry so one snapshot carries everything.
-  // Counters advance by delta (registry counters are monotonic), gauges
-  // overwrite.
+  // Storage engine, DCC and ingress instruments are sampled the same way:
+  // the pool, the block log, the protocol and admission keep their own
+  // relaxed counters; this mirrors them into the registry so one snapshot
+  // carries everything. Counters advance by delta (registry counters are
+  // monotonic), gauges overwrite.
   {
     auto sync = [this](const char* name, uint64_t v) {
       obs::Counter* c = metrics_->GetCounter(name);
@@ -307,6 +307,26 @@ obs::MetricsSnapshot HarmonyBC::CollectMetrics() {
     sync(obs::kCounterDccRepaired, dcc.repaired.load());
     sync(obs::kCounterDccDangerousHits, dcc.dangerous_hits.load());
     sync(obs::kCounterDccFalseAborts, dcc.false_aborts.load());
+    const IngestStats& is = ingest_stats();
+    sync(obs::kCounterIngestSubmitted, is.submitted.load());
+    sync(obs::kCounterIngestAdmitted, is.admitted.load());
+    sync(obs::kCounterIngestDuplicates, is.duplicates.load());
+    sync(obs::kCounterIngestRejected, is.rejected.load());
+    sync(obs::kCounterIngestRateLimited, is.rate_limited.load());
+    sync(obs::kCounterIngestDemoted, is.demoted.load());
+    sync(obs::kCounterIngestBackpressured, is.backpressured.load());
+    sync(obs::kCounterIngestRetriesEnqueued, is.retries_enqueued.load());
+    sync(obs::kCounterIngestRetriesDropped, is.retries_dropped.load());
+    sync(obs::kCounterIngestSealedBlocks, is.sealed_blocks.load());
+    sync(obs::kCounterIngestSealedTxns, is.sealed_txns.load());
+    sync(obs::kCounterIngestSizeSeals, is.size_seals.load());
+    sync(obs::kCounterIngestDeadlineSeals, is.deadline_seals.load());
+    sync(obs::kCounterIngestFlushSeals, is.flush_seals.load());
+    for (size_t lane = 0; lane < kNumLanes; lane++) {
+      sync(obs::kCounterIngestSealedLaneTxns[lane],
+           is.sealed_lane_txns[lane].load());
+    }
+    sync(obs::kCounterIngestSealedRetryTxns, is.sealed_retry_txns.load());
   }
   obs::MetricsSnapshot snap = metrics_->Snapshot();
   snap.slow_txns = tracer_->SlowTxns();

@@ -214,7 +214,7 @@ class HarmonyBC {
   obs::TxnTracer* tracer() { return tracer_.get(); }
   /// This instance's structured event log (always non-null): the discrete
   /// cluster transitions — follower join/leave, reconnects, snapshot
-  /// installs, log migrations, journal recoveries — that metrics cannot
+  /// installs, log truncations, journal recoveries — that metrics cannot
   /// express. Served remotely via the wire EVENTS frame.
   obs::EventLog* events() { return events_.get(); }
   /// Microseconds since Open() returned this instance (HEALTH frames).

@@ -246,35 +246,6 @@ bool NetClient::Sync(uint64_t timeout_us) {
   return true;
 }
 
-Result<WireStats> NetClient::Stats(uint64_t timeout_us) {
-  // Ship buffered submits first so the snapshot reflects them.
-  FlushBatch();
-  // One STATS exchange at a time: the reply carries no correlation id.
-  std::lock_guard<std::mutex> call_lk(stats_call_mu_);
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    stats_ready_ = false;
-  }
-  if (Status s = WriteFrame(Opcode::kOpStats, {}); !s.ok()) {
-    BreakConnection(s);  // a half-written frame desynchronizes the stream
-    return s;
-  }
-  std::unique_lock<std::mutex> lk(mu_);
-  const bool got = cv_.wait_for(
-      lk, std::chrono::microseconds(timeout_us), [&] {
-        return broken_.load(std::memory_order_acquire) || stats_ready_;
-      });
-  if (!got || !stats_ready_) {
-    // The reply may still arrive; make sure the reader throws it away
-    // rather than handing it to the next Stats() call as fresh.
-    stats_abandoned_++;
-    return broken_.load(std::memory_order_acquire) && !broken_why_.ok()
-               ? broken_why_
-               : Status::Busy("STATS timed out");
-  }
-  return stats_reply_;
-}
-
 Result<obs::MetricsSnapshot> NetClient::Metrics(uint64_t timeout_us) {
   // Ship buffered submits first so the snapshot reflects them.
   FlushBatch();
@@ -470,24 +441,6 @@ void NetClient::ReaderLoop() {
           {
             std::lock_guard<std::mutex> lk(mu_);
             acked_syncs_.insert(token);
-          }
-          cv_.notify_all();
-          break;
-        }
-        case Opcode::kOpStats: {
-          WireStats s;
-          if (!DecodeStats(frame.payload, &s)) {
-            BreakConnection(Status::Corruption("bad STATS payload"));
-            return;
-          }
-          {
-            std::lock_guard<std::mutex> lk(mu_);
-            if (stats_abandoned_ > 0) {
-              stats_abandoned_--;  // the reply to a timed-out request
-              break;
-            }
-            stats_reply_ = s;
-            stats_ready_ = true;
           }
           cv_.notify_all();
           break;

@@ -21,12 +21,11 @@ struct NetClientOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 0;
   size_t max_frame_payload = kMaxFramePayload;
-  /// Submit coalescing (wire v2): > 1 buffers Submit()s and ships them as
-  /// one BATCH_SUBMIT frame once this many are pending (clamped to
+  /// Submit coalescing: > 1 buffers Submit()s and ships them as one
+  /// BATCH_SUBMIT frame once this many are pending (clamped to
   /// kMaxBatchTxns) — or once the oldest buffered submit has waited
-  /// batch_max_delay_us. 1 disables batching (pure wire-v1 traffic; use
-  /// this against pre-batching servers). The Submit -> TxnTicket surface
-  /// is unchanged either way.
+  /// batch_max_delay_us. 1 sends one SUBMIT frame per Submit(). The
+  /// Submit -> TxnTicket surface is unchanged either way.
   size_t batch_max_txns = 1;
   /// Latency bound on coalescing: a partial batch is flushed once its
   /// oldest submit is this old. 0 flushes on the next Submit or Sync only.
@@ -58,7 +57,7 @@ struct NetClientOptions {
 /// unknown to this client", exactly like the in-process Recover()/shutdown
 /// contract.
 ///
-/// Thread-safe: Submit/Sync/Stats may be called from any thread.
+/// Thread-safe: Submit/Sync/Metrics may be called from any thread.
 class NetClient {
  public:
   static Result<std::unique_ptr<NetClient>> Connect(
@@ -77,13 +76,11 @@ class NetClient {
   /// watermark + wire round trip). False on timeout or connection loss.
   bool Sync(uint64_t timeout_us);
 
-  /// Fetches the server's STATS snapshot for this connection's session.
-  Result<WireStats> Stats(uint64_t timeout_us);
-
-  /// Fetches the server's metrics registry snapshot (STATS v2: per-stage
-  /// histograms, slow-txn ring — docs/OBSERVABILITY.md). A v1 server does
-  /// not know the METRICS opcode and closes with ERROR{corrupt}; that
-  /// surfaces here as the connection-loss status, never as a hang.
+  /// Fetches the server's metrics registry snapshot (per-stage histograms,
+  /// mirrored ingest/storage/DCC counters, slow-txn ring —
+  /// docs/OBSERVABILITY.md). A server that rejects the request closes the
+  /// connection; that surfaces here as the connection-loss status, never
+  /// as a hang.
   Result<obs::MetricsSnapshot> Metrics(uint64_t timeout_us);
 
   /// Fetches the node's HEALTH self-report (role, chain position, peer
@@ -110,10 +107,10 @@ class NetClient {
   void ReaderLoop();
   void FlusherLoop();
   /// Sends the buffered batch now (no-op when empty). Called by Submit at
-  /// the size bound, by the flusher at the delay bound, and by Sync/Stats/
-  /// the destructor so nothing they promise is still sitting local.
+  /// the size bound, by the flusher at the delay bound, and by Sync/
+  /// Metrics/the destructor so nothing they promise is still sitting local.
   void FlushBatch();
-  /// Fails every pending ticket and sync/stats waiter with `why`.
+  /// Fails every pending ticket and sync/snapshot waiter with `why`.
   void BreakConnection(const Status& why);
   Status WriteFrame(Opcode op, std::string_view payload);
   void ResolveSeq(uint64_t client_seq, const TxnReceipt& receipt);
@@ -140,13 +137,13 @@ class NetClient {
   bool flusher_stop_ = false;
   std::thread flusher_;
 
-  std::mutex write_mu_;       ///< serializes whole-frame socket writes
-  std::mutex stats_call_mu_;  ///< one STATS exchange at a time (no corr. id)
-  std::mutex metrics_call_mu_;  ///< likewise for METRICS
+  std::mutex write_mu_;         ///< serializes whole-frame socket writes
+  std::mutex metrics_call_mu_;  ///< one METRICS exchange at a time (no
+                                ///< correlation id)
   std::mutex health_call_mu_;   ///< likewise for HEALTH
   std::mutex events_call_mu_;   ///< likewise for EVENTS
 
-  std::mutex mu_;  ///< pending map + sync/stats/metrics rendezvous
+  std::mutex mu_;  ///< pending map + sync/snapshot rendezvous
   std::condition_variable cv_;
   struct PendingEntry {
     std::shared_ptr<PendingTxn> entry;
@@ -154,23 +151,20 @@ class NetClient {
   };
   std::unordered_map<uint64_t, PendingEntry> pending_;  ///< by client_seq
   std::unordered_set<uint64_t> acked_syncs_;
-  bool stats_ready_ = false;
   bool metrics_ready_ = false;
   bool health_ready_ = false;
   bool events_ready_ = false;
   /// Requests whose caller gave up (timeout): replies arrive in request
   /// order on the one TCP stream, so the reader discards this many before
   /// delivering one — a retry after a timeout cannot be satisfied by the
-  /// previous request's stale snapshot. Tracked *per opcode*: STATS,
-  /// METRICS, HEALTH, and EVENTS replies interleave in their own
-  /// per-opcode request order, so an abandoned request of one opcode must
-  /// never eat a fresh reply of another — one shared counter would do
-  /// exactly that when a caller mixes them on one connection.
-  uint32_t stats_abandoned_ = 0;
+  /// previous request's stale snapshot. Tracked *per opcode*: METRICS,
+  /// HEALTH, and EVENTS replies interleave in their own per-opcode request
+  /// order, so an abandoned request of one opcode must never eat a fresh
+  /// reply of another — one shared counter would do exactly that when a
+  /// caller mixes them on one connection.
   uint32_t metrics_abandoned_ = 0;
   uint32_t health_abandoned_ = 0;
   uint32_t events_abandoned_ = 0;
-  WireStats stats_reply_;
   obs::MetricsSnapshot metrics_reply_;
   WireHealth health_reply_;
   EventsBatch events_reply_;

@@ -474,57 +474,10 @@ bool NetServer::Dispatch(const std::shared_ptr<Conn>& conn, Frame frame) {
       }
       return true;
     }
-    case Opcode::kOpStats: {
-      if (!frame.payload.empty()) return false;
-      WireStats s;
-      const SessionStats& ss = conn->session->stats();
-      s.sess_submitted = ss.submitted.load(std::memory_order_relaxed);
-      s.sess_committed = ss.committed.load(std::memory_order_relaxed);
-      s.sess_logic_aborted = ss.logic_aborted.load(std::memory_order_relaxed);
-      s.sess_dropped = ss.dropped.load(std::memory_order_relaxed);
-      s.sess_rejected = ss.rejected.load(std::memory_order_relaxed);
-      s.sess_latency_sum_us =
-          ss.latency_sum_us.load(std::memory_order_relaxed);
-      s.sess_latency_max_us =
-          ss.latency_max_us.load(std::memory_order_relaxed);
-      s.sess_inflight = ss.inflight.load(std::memory_order_relaxed);
-      const IngestStats& is = db_->ingest_stats();
-      s.ing_submitted = is.submitted.load(std::memory_order_relaxed);
-      s.ing_admitted = is.admitted.load(std::memory_order_relaxed);
-      s.ing_duplicates = is.duplicates.load(std::memory_order_relaxed);
-      s.ing_rejected = is.rejected.load(std::memory_order_relaxed);
-      s.ing_rate_limited = is.rate_limited.load(std::memory_order_relaxed);
-      s.ing_demoted = is.demoted.load(std::memory_order_relaxed);
-      s.ing_backpressured = is.backpressured.load(std::memory_order_relaxed);
-      s.ing_retries_enqueued =
-          is.retries_enqueued.load(std::memory_order_relaxed);
-      s.ing_retries_dropped =
-          is.retries_dropped.load(std::memory_order_relaxed);
-      s.ing_sealed_blocks = is.sealed_blocks.load(std::memory_order_relaxed);
-      s.ing_sealed_txns = is.sealed_txns.load(std::memory_order_relaxed);
-      s.ing_sealed_high =
-          is.sealed_lane_txns[static_cast<size_t>(IngestLane::kHigh)].load(
-              std::memory_order_relaxed);
-      s.ing_sealed_normal =
-          is.sealed_lane_txns[static_cast<size_t>(IngestLane::kNormal)].load(
-              std::memory_order_relaxed);
-      s.ing_sealed_low =
-          is.sealed_lane_txns[static_cast<size_t>(IngestLane::kLow)].load(
-              std::memory_order_relaxed);
-      s.ing_sealed_retry =
-          is.sealed_retry_txns.load(std::memory_order_relaxed);
-      s.height = db_->height();
-      s.pending_receipts = db_->pending_receipts();
-      s.queue_depth = db_->queue_depth();
-      std::string payload;
-      EncodeStats(s, &payload);
-      std::lock_guard<std::mutex> lk(conn->mu);
-      EnqueueLocked(*conn, Opcode::kOpStats, payload);
-      return true;
-    }
     case Opcode::kOpMetrics: {
-      // STATS v2: ship the whole metrics registry snapshot (per-stage
-      // histograms, slow-txn ring). Gauges are refreshed by CollectMetrics.
+      // Ship the whole metrics registry snapshot (per-stage histograms,
+      // slow-txn ring). Gauges and mirrored counters are refreshed by
+      // CollectMetrics.
       if (!frame.payload.empty()) return false;
       std::string payload;
       EncodeMetrics(db_->CollectMetrics(), &payload);

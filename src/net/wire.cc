@@ -15,8 +15,6 @@ const char* OpcodeName(Opcode op) {
       return "RECEIPT";
     case Opcode::kOpSync:
       return "SYNC";
-    case Opcode::kOpStats:
-      return "STATS";
     case Opcode::kOpError:
       return "ERROR";
     case Opcode::kOpBatchSubmit:
@@ -45,9 +43,7 @@ std::string EncodeFrame(Opcode op, std::string_view payload) {
   std::string out;
   out.reserve(kHeaderSize + payload.size());
   codec::AppendU32(&out, kWireMagic);
-  // Stamped per frame so a non-batching exchange is byte-identical to what
-  // a v1 peer speaks (see the negotiation comment in wire.h).
-  out.push_back(static_cast<char>(WireVersionFor(op)));
+  out.push_back(static_cast<char>(kWireVersion));
   out.push_back(static_cast<char>(op));
   codec::AppendU16(&out, 0);  // flags
   codec::AppendU32(&out, static_cast<uint32_t>(payload.size()));
@@ -194,7 +190,7 @@ bool DecodeReplJoin(std::string_view payload, WireReplJoin* out) {
 
 void EncodeReplicate(const Block& b, std::string* out) {
   codec::AppendU64(out, b.header.block_id);
-  codec::AppendBytes(out, BlockCodec::Encode(b));
+  codec::AppendBytes(out, BlockCodec::EncodeRaw(b));
 }
 
 bool DecodeReplicate(std::string_view payload, Block* out) {
@@ -203,7 +199,7 @@ bool DecodeReplicate(std::string_view payload, Block* out) {
   std::string record;
   if (!r.ReadU64(&id) || !r.ReadBytes(&record)) return false;
   if (r.remaining() != 0) return false;
-  if (!BlockCodec::Decode(record, out, kLogV3).ok()) return false;
+  if (!BlockCodec::DecodeRaw(record, out).ok()) return false;
   // The outer id exists so the leader/follower can account for the frame
   // without re-decoding; a disagreement means the frame lies about itself.
   return out->header.block_id == id;
@@ -330,75 +326,6 @@ bool DecodeSync(std::string_view payload, uint64_t* token) {
   return r.ReadU64(token) && r.remaining() == 0;
 }
 
-namespace {
-
-/// The single canonical WireStats field order. Encode and decode both walk
-/// this list, so they cannot drift apart: append new fields at the END
-/// (older peers skip unknown trailing fields; inserting mid-list is a wire
-/// break).
-template <typename Stats, typename Fn>
-void ForEachStatsField(Stats& s, Fn&& fn) {
-  fn(s.sess_submitted);
-  fn(s.sess_committed);
-  fn(s.sess_logic_aborted);
-  fn(s.sess_dropped);
-  fn(s.sess_rejected);
-  fn(s.sess_latency_sum_us);
-  fn(s.sess_latency_max_us);
-  fn(s.sess_inflight);
-  fn(s.ing_submitted);
-  fn(s.ing_admitted);
-  fn(s.ing_duplicates);
-  fn(s.ing_rejected);
-  fn(s.ing_rate_limited);
-  fn(s.ing_demoted);
-  fn(s.ing_backpressured);
-  fn(s.ing_retries_enqueued);
-  fn(s.ing_retries_dropped);
-  fn(s.ing_sealed_blocks);
-  fn(s.ing_sealed_txns);
-  fn(s.ing_sealed_high);
-  fn(s.ing_sealed_normal);
-  fn(s.ing_sealed_low);
-  fn(s.ing_sealed_retry);
-  fn(s.height);
-  fn(s.pending_receipts);
-  fn(s.queue_depth);
-}
-
-uint32_t NumStatsFields() {
-  WireStats s;
-  uint32_t n = 0;
-  ForEachStatsField(s, [&](uint64_t&) { n++; });
-  return n;
-}
-
-}  // namespace
-
-void EncodeStats(const WireStats& s, std::string* out) {
-  codec::AppendU32(out, NumStatsFields());
-  ForEachStatsField(s,
-                    [&](const uint64_t& f) { codec::AppendU64(out, f); });
-}
-
-bool DecodeStats(std::string_view payload, WireStats* out) {
-  codec::Reader r(payload);
-  uint32_t n = 0;
-  if (!r.ReadU32(&n)) return false;
-  // A newer peer may append fields; decode the ones this build knows and
-  // skip the rest. Fewer than we expect is a truncation, not skew.
-  const uint32_t known = NumStatsFields();
-  if (n < known) return false;
-  bool ok = true;
-  ForEachStatsField(*out, [&](uint64_t& f) { ok = ok && r.ReadU64(&f); });
-  if (!ok) return false;
-  for (uint32_t i = known; i < n; i++) {
-    uint64_t skip;
-    if (!r.ReadU64(&skip)) return false;
-  }
-  return r.remaining() == 0;
-}
-
 void EncodeMetrics(const obs::MetricsSnapshot& m, std::string* out) {
   codec::AppendU32(out, static_cast<uint32_t>(m.counters.size()));
   for (const auto& c : m.counters) {
@@ -508,20 +435,14 @@ Status FrameReassembler::Next(Frame* out) {
   const uint8_t opcode = static_cast<uint8_t>(ver_op >> 8);
   if (magic != kWireMagic) return Status::Corruption("bad magic");
   if (header_crc != Crc32(h, 16)) return Status::Corruption("header CRC");
-  if (version != kWireV1 && version != kWireV2) {
+  if (version != kWireVersion) {
     return Status::Corruption("wire version " + std::to_string(version));
   }
   if (flags != 0) return Status::Corruption("reserved flags set");
-  if (opcode < static_cast<uint8_t>(Opcode::kOpSubmit) ||
-      opcode > static_cast<uint8_t>(Opcode::kOpEvents)) {
+  // OpcodeName's switch is the one list of assigned opcodes; 4 (once
+  // STATS) and everything past kOpEvents fall through to "?".
+  if (std::strcmp(OpcodeName(static_cast<Opcode>(opcode)), "?") == 0) {
     return Status::Corruption("unknown opcode " + std::to_string(opcode));
-  }
-  // A batch opcode promises v2 semantics; a v1-stamped frame carrying one
-  // is a peer that doesn't know what it's saying.
-  if (version < WireVersionFor(static_cast<Opcode>(opcode))) {
-    return Status::Corruption("opcode " + std::to_string(opcode) +
-                              " not valid in wire v" +
-                              std::to_string(version));
   }
   if (payload_len > max_payload_) {
     return Status::Corruption("oversized frame (" +

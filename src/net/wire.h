@@ -28,7 +28,7 @@ namespace net {
 ///
 ///   offset  size  field
 ///   0       4     magic        "HBC1" (0x31434248 little-endian)
-///   4       1     version      kWireV1 or kWireV2 (see below)
+///   4       1     version      kWireVersion
 ///   5       1     opcode       Opcode
 ///   6       2     flags        reserved, must be 0
 ///   8       4     payload_len  bytes following the header
@@ -41,25 +41,16 @@ namespace net {
 /// the little-endian helpers in common/codec.h (the same codec the block
 /// log uses), and SUBMIT payloads are exactly BlockCodec::EncodeTxn.
 ///
-/// ## Version negotiation (v1 ⇄ v2)
-/// The version is stamped *per frame*, by opcode: frames carrying a v1
-/// opcode (SUBMIT..ERROR) are stamped kWireV1, the batch opcodes
-/// (BATCH_SUBMIT/BATCH_RECEIPT) kWireV2. Readers accept both versions, so
-/// a v2 endpoint interoperates with a v1 peer for as long as neither side
-/// batches — a v1 server only ever sees v1 frames from a non-batching v2
-/// client, and a server never sends BATCH_RECEIPT to a connection that has
-/// not itself sent BATCH_SUBMIT. A batch opcode inside a v1-stamped frame
-/// is a protocol violation.
+/// Every frame is stamped kWireVersion; a reader rejects any other version
+/// as Corruption, so a peer speaking an older or newer protocol is refused
+/// at its first frame.
 inline constexpr uint32_t kWireMagic = 0x31434248;  // "HBC1"
-inline constexpr uint8_t kWireV1 = 1;
-inline constexpr uint8_t kWireV2 = 2;
-inline constexpr uint8_t kWireVersion = kWireV2;
+inline constexpr uint8_t kWireVersion = 2;
 inline constexpr size_t kHeaderSize = 20;
 /// Frames advertising a larger payload are rejected as corrupt before any
 /// allocation — the cap bounds per-connection memory against hostile or
 /// desynchronized peers. Must admit the largest admissible SUBMIT
-/// (AdmissionOptions::max_blob_bytes plus slack), a full BATCH_SUBMIT, and
-/// the STATS snapshot.
+/// (AdmissionOptions::max_blob_bytes plus slack) and a full BATCH_SUBMIT.
 inline constexpr uint32_t kMaxFramePayload = 2u << 20;
 /// Per-frame bound on BATCH_SUBMIT / BATCH_RECEIPT entry counts; a count
 /// beyond this (or beyond what payload_len can carry) is a protocol error.
@@ -69,22 +60,21 @@ enum class Opcode : uint8_t {
   kOpSubmit = 1,   ///< C -> S: one TxnRequest (BlockCodec::EncodeTxn)
   kOpReceipt = 2,  ///< S -> C: the TxnReceipt for one SUBMIT
   kOpSync = 3,     ///< both ways: token echo once prior receipts delivered
-  kOpStats = 4,    ///< C -> S: empty; S -> C: WireStats
+  // 4 was STATS; the value stays unassigned and is rejected on read.
   kOpError = 5,    ///< S -> C: WireError (busy / overloaded / corrupt)
-  // --- wire v2 ---
   kOpBatchSubmit = 6,   ///< C -> S: u32 count + count x EncodeTxn
   kOpBatchReceipt = 7,  ///< S -> C: u32 count + count x length-prefixed
                         ///<         receipt entries (coalesced per flush)
   kOpMetrics = 8,       ///< C -> S: empty; S -> C: EncodeMetrics — the
-                        ///<         STATS v2 payload: the server's metrics
-                        ///<         registry snapshot (per-stage histograms,
-                        ///<         slow-txn ring; docs/OBSERVABILITY.md)
+                        ///<         server's metrics registry snapshot
+                        ///<         (per-stage histograms, slow-txn ring;
+                        ///<         docs/OBSERVABILITY.md)
   // --- replication (docs/REPLICATION.md; follower dials the leader) ---
   kOpReplJoin = 9,      ///< F -> L: WireReplJoin — marks the connection as
                         ///<         a replication peer and reports the
                         ///<         follower's durable chain tip
-  kOpReplicate = 10,    ///< L -> F: WireReplicate — one sealed block (the
-                        ///<         exact v3 record bytes the log persists)
+  kOpReplicate = 10,    ///< L -> F: WireReplicate — one sealed block in
+                        ///<         the raw layout (BlockCodec::EncodeRaw)
   kOpReplicateAck = 11, ///< F -> L: u64 block id, cumulative — "everything
                         ///<         through this id is applied here"
   kOpReplSnapshot = 12, ///< L -> F: WireSnapshot — state rows at a
@@ -101,12 +91,6 @@ enum class Opcode : uint8_t {
 
 const char* OpcodeName(Opcode op);
 
-/// The version an Opcode's frames are stamped with (see the negotiation
-/// comment above).
-inline uint8_t WireVersionFor(Opcode op) {
-  return op >= Opcode::kOpBatchSubmit ? kWireV2 : kWireV1;
-}
-
 struct Frame {
   Opcode opcode = Opcode::kOpError;
   std::string payload;
@@ -121,41 +105,6 @@ struct WireError {
   Status::Code code = Status::Code::kAborted;
   uint64_t client_seq = 0;
   std::string message;
-};
-
-/// STATS payload: the connection's server-side SessionStats snapshot plus
-/// the server-wide IngestStats and chain position, taken relaxed (counters
-/// may be mid-update; they are monotonic, not a consistent cut).
-struct WireStats {
-  // This connection's session.
-  uint64_t sess_submitted = 0;
-  uint64_t sess_committed = 0;
-  uint64_t sess_logic_aborted = 0;
-  uint64_t sess_dropped = 0;
-  uint64_t sess_rejected = 0;
-  uint64_t sess_latency_sum_us = 0;
-  uint64_t sess_latency_max_us = 0;
-  uint64_t sess_inflight = 0;
-  // Server-wide ingress.
-  uint64_t ing_submitted = 0;
-  uint64_t ing_admitted = 0;
-  uint64_t ing_duplicates = 0;
-  uint64_t ing_rejected = 0;
-  uint64_t ing_rate_limited = 0;
-  uint64_t ing_demoted = 0;
-  uint64_t ing_backpressured = 0;
-  uint64_t ing_retries_enqueued = 0;
-  uint64_t ing_retries_dropped = 0;
-  uint64_t ing_sealed_blocks = 0;
-  uint64_t ing_sealed_txns = 0;
-  uint64_t ing_sealed_high = 0;
-  uint64_t ing_sealed_normal = 0;
-  uint64_t ing_sealed_low = 0;
-  uint64_t ing_sealed_retry = 0;
-  // Chain position.
-  uint64_t height = 0;
-  uint64_t pending_receipts = 0;
-  uint64_t queue_depth = 0;
 };
 
 /// Frames one payload: header (magic/version/opcode/len/CRCs) + payload.
@@ -178,15 +127,9 @@ bool DecodeError(std::string_view payload, WireError* out);
 void EncodeSync(uint64_t token, std::string* out);
 bool DecodeSync(std::string_view payload, uint64_t* token);
 
-void EncodeStats(const WireStats& s, std::string* out);
-bool DecodeStats(std::string_view payload, WireStats* out);
-
-/// METRICS (STATS v2): a whole obs::MetricsSnapshot. The flat v1 STATS
-/// payload stays frozen — v1 peers keep decoding it — and the registry
-/// rides this separate v2 opcode instead of growing the v1 field list
-/// (named variable-length data cannot hide in trailing u64s). Decode
-/// rejects entry counts beyond kMaxMetricsEntries and bucket indexes
-/// beyond the histogram range before sizing anything.
+/// METRICS: a whole obs::MetricsSnapshot. Decode rejects entry counts
+/// beyond kMaxMetricsEntries and bucket indexes beyond the histogram range
+/// before sizing anything.
 inline constexpr uint32_t kMaxMetricsEntries = 4096;
 void EncodeMetrics(const obs::MetricsSnapshot& m, std::string* out);
 bool DecodeMetrics(std::string_view payload, obs::MetricsSnapshot* out);
@@ -222,9 +165,9 @@ inline constexpr uint32_t kMaxReplNodeName = 256;
 void EncodeReplJoin(const WireReplJoin& j, std::string* out);
 bool DecodeReplJoin(std::string_view payload, WireReplJoin* out);
 
-/// REPLICATE: `u64 block_id` + length-prefixed v3 record bytes
-/// (BlockCodec::Encode — the wire ships the exact bytes the block log
-/// persists, like SUBMIT does for txns). Decode parses the record and
+/// REPLICATE: `u64 block_id` + length-prefixed raw block bytes
+/// (BlockCodec::EncodeRaw: the header and txns uncompressed, txns in the
+/// SUBMIT encoding). Decode parses the block and
 /// rejects an outer id that disagrees with the decoded header, so a frame
 /// that passes the codec is internally consistent before the follower
 /// touches it.
@@ -291,8 +234,8 @@ bool DecodeEvents(std::string_view payload, uint64_t* next_cursor,
 ///
 ///   - OK          -> *out holds one complete, CRC-verified frame
 ///   - NotFound    -> incomplete; Feed() more and retry
-///   - Corruption  -> bad magic/version/flags/CRC or payload_len over the
-///                    cap; the stream is unrecoverable (no resync point) —
+///   - Corruption  -> bad magic/version/flags/opcode/CRC or payload_len over
+///                    the cap; the stream is unrecoverable (no resync point) —
 ///                    close the connection.
 ///
 /// Single-threaded: one reassembler per connection, driven only by that

@@ -2,9 +2,9 @@
 
 // Structured event log: a fixed-capacity lock-free ring of typed events
 // for the discrete transitions metrics cannot express — a follower
-// joining, a reconnect with backoff, a snapshot install, a log migration,
-// a rollback-journal recovery. Counters tell you *how many*; the event
-// log tells you *when and which one*.
+// joining, a reconnect with backoff, a snapshot install, a log
+// truncation, a rollback-journal recovery. Counters tell you *how many*;
+// the event log tells you *when and which one*.
 //
 // Write side: Emit is wait-free — one fetch_add to claim a sequence
 // number, then relaxed stores into the claimed slot behind a per-slot
@@ -88,6 +88,30 @@ inline constexpr char kCounterDccRepaired[] = "dcc.repaired";
 inline constexpr char kCounterDccDangerousHits[] = "dcc.dangerous_hits";
 inline constexpr char kCounterDccFalseAborts[] = "dcc.false_aborts";
 
+// Ingress plane (IngestStats, refreshed by HarmonyBC::CollectMetrics): one
+// counter per IngestStats field, under the field's name.
+inline constexpr char kCounterIngestSubmitted[] = "ingest.submitted";
+inline constexpr char kCounterIngestAdmitted[] = "ingest.admitted";
+inline constexpr char kCounterIngestDuplicates[] = "ingest.duplicates";
+inline constexpr char kCounterIngestRejected[] = "ingest.rejected";
+inline constexpr char kCounterIngestRateLimited[] = "ingest.rate_limited";
+inline constexpr char kCounterIngestDemoted[] = "ingest.demoted";
+inline constexpr char kCounterIngestBackpressured[] = "ingest.backpressured";
+inline constexpr char kCounterIngestRetriesEnqueued[] =
+    "ingest.retries_enqueued";
+inline constexpr char kCounterIngestRetriesDropped[] = "ingest.retries_dropped";
+inline constexpr char kCounterIngestSealedBlocks[] = "ingest.sealed_blocks";
+inline constexpr char kCounterIngestSealedTxns[] = "ingest.sealed_txns";
+inline constexpr char kCounterIngestSizeSeals[] = "ingest.size_seals";
+inline constexpr char kCounterIngestDeadlineSeals[] = "ingest.deadline_seals";
+inline constexpr char kCounterIngestFlushSeals[] = "ingest.flush_seals";
+// sealed_lane_txns, indexed by IngestLane ({high, normal, low}).
+inline constexpr const char* kCounterIngestSealedLaneTxns[] = {
+    "ingest.sealed_lane_txns.high", "ingest.sealed_lane_txns.normal",
+    "ingest.sealed_lane_txns.low"};
+inline constexpr char kCounterIngestSealedRetryTxns[] =
+    "ingest.sealed_retry_txns";
+
 // ---------------------------------------------------------------------------
 
 enum class EventSeverity : uint8_t {
@@ -107,7 +131,7 @@ enum class EventCode : uint16_t {
   kSnapshotInstall = 5,  ///< follower: leader snapshot installed (info)
   kGapReject = 6,        ///< follower: non-contiguous block refused (error)
   kRedirect = 7,         ///< frontend: submit bounced to the leader (info)
-  kLogMigrate = 8,       ///< block store: pre-v4 log migrated (info)
+  // 8 was log_migrate; the value stays unassigned.
   kJournalRecover = 9,   ///< storage: rollback journal replayed (warn)
   kOverloadSeal = 10,    ///< net server: write queue overflow seal (warn)
   kCrashPointArm = 11,   ///< testing: a crash point was armed (warn)

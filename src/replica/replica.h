@@ -62,8 +62,8 @@ struct ReplicaOptions {
   /// Optional txn-lifecycle tracer: records per-block execute (Simulate)
   /// and commit durations. Replayed blocks (Recover) are not recorded.
   obs::TxnTracer* tracer = nullptr;
-  /// Optional structured event log (obs/events.h): Open-time transitions —
-  /// block-log migration, rollback-journal recovery — emit typed events
+  /// Optional structured event log (obs/events.h): discrete transitions —
+  /// rollback-journal recovery, block-log truncation — emit typed events
   /// here. Mirrors `tracer`; nullptr disables emission.
   obs::EventLog* events = nullptr;
 };

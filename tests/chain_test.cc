@@ -2,7 +2,6 @@
 
 #include "chain/block.h"
 #include "chain/block_store.h"
-#include "common/codec.h"
 #include "testing/crash_point.h"
 #include "testing/fuzz.h"
 #include "tests/test_util.h"
@@ -21,7 +20,7 @@ TxnBatch MakeBatch(BlockId id, TxnId first_tid, size_t n) {
     TxnRequest t;
     t.proc_id = 7;
     t.client_seq = first_tid + i;
-    t.fee = 10 * i;  // priority fee rides the wire format (log v3)
+    t.fee = 10 * i;  // priority fee rides the txn encoding
     t.args.ints = {static_cast<int64_t>(i), -5, 123456789};
     t.args.blob = "blob-" + std::to_string(i);
     b.txns.push_back(std::move(t));
@@ -32,9 +31,9 @@ TxnBatch MakeBatch(BlockId id, TxnId first_tid, size_t n) {
 TEST(BlockCodec, RoundTrip) {
   BlockBuilder builder("secret");
   Block b = builder.Seal(MakeBatch(1, 1, 5), 12345);
-  const std::string bytes = BlockCodec::Encode(b);
+  const std::string bytes = BlockCodec::EncodeRaw(b);
   Block d;
-  ASSERT_OK(BlockCodec::Decode(bytes, &d));
+  ASSERT_OK(BlockCodec::DecodeRaw(bytes, &d));
   EXPECT_EQ(d.header.block_id, 1u);
   EXPECT_EQ(d.header.txn_count, 5u);
   EXPECT_EQ(d.header.block_hash, b.header.block_hash);
@@ -48,10 +47,11 @@ TEST(BlockCodec, RoundTrip) {
 TEST(BlockCodec, DecodeRejectsTruncation) {
   BlockBuilder builder("secret");
   Block b = builder.Seal(MakeBatch(1, 1, 3), 0);
-  std::string bytes = BlockCodec::Encode(b);
+  std::string bytes = BlockCodec::EncodeRaw(b);
   Block d;
-  EXPECT_FALSE(BlockCodec::Decode(bytes.substr(0, bytes.size() / 2), &d).ok());
-  EXPECT_FALSE(BlockCodec::Decode("", &d).ok());
+  EXPECT_FALSE(
+      BlockCodec::DecodeRaw(bytes.substr(0, bytes.size() / 2), &d).ok());
+  EXPECT_FALSE(BlockCodec::DecodeRaw("", &d).ok());
 }
 
 TEST(ChainVerifier, AcceptsHonestChain) {
@@ -468,49 +468,6 @@ TEST(BlockStoreTruncate, StaleTempCleanupRegression) {
   EXPECT_FALSE(PathExists(path + ".truncate"));
   ASSERT_OK(store.TruncateBefore(3));  // and truncation still works after
   EXPECT_EQ(store.first_block_id(), 3u);
-}
-
-TEST(BlockStoreTruncate, MixedVersionLogTruncatesEquivalently) {
-  // A migrated v3 log with v4 appends on top must truncate to the same
-  // chain an all-v4 log would: record origin is erased by migration.
-  TempDir dir("trunc-mixed");
-  const std::string path = dir.path() + "/chain.log";
-  BlockBuilder builder("secret");
-  std::string file;
-  uint32_t header[2] = {0x4C434248u, 3u};  // kLogV3
-  file.append(reinterpret_cast<const char*>(header), 8);
-  std::vector<Digest> hashes;
-  for (BlockId i = 1; i <= 4; i++) {
-    Block b = builder.Seal(MakeBatch(i, 1 + (i - 1) * 2, 2), 0);
-    hashes.push_back(b.header.block_hash);
-    const std::string payload = BlockCodec::Encode(b);
-    codec::AppendU32(&file, static_cast<uint32_t>(payload.size()));
-    file.append(payload);
-    codec::AppendU32(&file, Crc32(payload));
-  }
-  SpillFile(path, file);
-
-  BlockStore store(path);
-  ASSERT_OK(store.Open());  // migrates v3 -> v4
-  ASSERT_EQ(store.num_blocks(), 4u);
-  FillChain(&store, &builder, 5, 8);
-  ASSERT_OK(store.TruncateBefore(3));  // boundary straddles both origins
-  std::vector<Block> live;
-  ASSERT_OK(store.ReadAll(&live));
-  ASSERT_EQ(live.size(), 6u);
-  EXPECT_EQ(live[0].header.block_id, 3u);
-  EXPECT_EQ(live[0].header.block_hash, hashes[2]);
-  EXPECT_EQ(live[1].header.block_hash, hashes[3]);
-  ASSERT_OK(ChainVerifier::VerifyChain(live, "secret"));
-  // Recovery equivalence across a reopen.
-  BlockStore reopened(path);
-  ASSERT_OK(reopened.Open());
-  std::vector<Block> again;
-  ASSERT_OK(reopened.ReadAll(&again));
-  ASSERT_EQ(again.size(), live.size());
-  for (size_t i = 0; i < live.size(); i++) {
-    EXPECT_EQ(again[i].header.block_hash, live[i].header.block_hash);
-  }
 }
 
 TEST(BlockStoreTruncate, ArchivePreservesDroppedRecords) {

@@ -182,6 +182,79 @@ TEST(HarmonyBC, ContendedRunExportsDccCounters) {
   EXPECT_EQ(false_aborts, (*db)->stats().false_aborts.load());
 }
 
+TEST(HarmonyBC, IngestCountersMirrorIngestStats) {
+  // CollectMetrics mirrors every IngestStats field into an ingest.*
+  // counter, advancing by delta, so a later snapshot tracks new traffic.
+  TempDir dir("bc-ingest");
+  auto db = HarmonyBC::Open(FastOpts(dir.path()));
+  ASSERT_TRUE(db.ok());
+  (*db)->RegisterProcedure(1, "transfer", Transfer);
+  for (Key k = 0; k < 4; k++) ASSERT_OK((*db)->Load(k, Value({100})));
+  ASSERT_OK((*db)->Recover().status());
+  auto session = (*db)->OpenSession(/*client_id=*/7);
+  // Contended transfers (CC aborts feed the retry lane) plus a replay of
+  // an already-used client_seq (a duplicate).
+  auto submit_round = [&](uint64_t seq0) {
+    for (uint64_t i = 0; i < 100; i++) {
+      TxnRequest t;
+      t.proc_id = 1;
+      t.client_seq = seq0 + i;
+      t.args.ints = {static_cast<int64_t>(i % 4),
+                     static_cast<int64_t>((i + 1) % 4), 1};
+      session->Submit(std::move(t));
+    }
+    TxnRequest dup;
+    dup.proc_id = 1;
+    dup.client_seq = seq0;
+    dup.args.ints = {0, 1, 1};
+    session->Submit(std::move(dup));
+    ASSERT_OK((*db)->Sync());
+  };
+  auto expect_mirrored = [&] {
+    const obs::MetricsSnapshot snap = (*db)->CollectMetrics();
+    auto counter = [&](const char* name) -> uint64_t {
+      for (const auto& c : snap.counters) {
+        if (c.name == name) return c.value;
+      }
+      ADD_FAILURE() << name << " not exported";
+      return 0;
+    };
+    const IngestStats& is = (*db)->ingest_stats();
+    const std::pair<const char*, uint64_t> fields[] = {
+        {obs::kCounterIngestSubmitted, is.submitted.load()},
+        {obs::kCounterIngestAdmitted, is.admitted.load()},
+        {obs::kCounterIngestDuplicates, is.duplicates.load()},
+        {obs::kCounterIngestRejected, is.rejected.load()},
+        {obs::kCounterIngestRateLimited, is.rate_limited.load()},
+        {obs::kCounterIngestDemoted, is.demoted.load()},
+        {obs::kCounterIngestBackpressured, is.backpressured.load()},
+        {obs::kCounterIngestRetriesEnqueued, is.retries_enqueued.load()},
+        {obs::kCounterIngestRetriesDropped, is.retries_dropped.load()},
+        {obs::kCounterIngestSealedBlocks, is.sealed_blocks.load()},
+        {obs::kCounterIngestSealedTxns, is.sealed_txns.load()},
+        {obs::kCounterIngestSizeSeals, is.size_seals.load()},
+        {obs::kCounterIngestDeadlineSeals, is.deadline_seals.load()},
+        {obs::kCounterIngestFlushSeals, is.flush_seals.load()},
+        {obs::kCounterIngestSealedLaneTxns[0], is.sealed_lane_txns[0].load()},
+        {obs::kCounterIngestSealedLaneTxns[1], is.sealed_lane_txns[1].load()},
+        {obs::kCounterIngestSealedLaneTxns[2], is.sealed_lane_txns[2].load()},
+        {obs::kCounterIngestSealedRetryTxns, is.sealed_retry_txns.load()},
+    };
+    for (const auto& [name, value] : fields) {
+      EXPECT_EQ(counter(name), value) << name;
+    }
+    return counter(obs::kCounterIngestSubmitted);
+  };
+  submit_round(1);
+  EXPECT_EQ(expect_mirrored(), 101u);
+  const IngestStats& is = (*db)->ingest_stats();
+  EXPECT_EQ(is.duplicates.load(), 1u);
+  EXPECT_GT(is.retries_enqueued.load(), 0u);
+  EXPECT_GT(is.sealed_retry_txns.load(), 0u);
+  submit_round(1001);
+  EXPECT_EQ(expect_mirrored(), 202u);
+}
+
 TEST(HarmonyBC, PeriodicCheckpointsExportDurationAndWaits) {
   // Page writes far slower than a block: each periodic checkpoint is still
   // persisting when the next one is captured, so the commit path waits.

@@ -1,6 +1,6 @@
 // Block log format coverage (docs/FORMATS.md): the HLZ codec, v4 record
-// envelopes, migration of v1-v3 logs, mixed-version recovery to identical
-// replica state, and corrupt-compressed-payload rejection.
+// envelopes, refusal of any log header but v4, torn-tail truncation, and
+// corrupt-compressed-payload rejection.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -14,10 +14,8 @@
 #include "common/codec.h"
 #include "common/compress.h"
 #include "common/rng.h"
-#include "core/harmonybc.h"
 #include "testing/fuzz.h"
 #include "tests/test_util.h"
-#include "txn/txn_context.h"
 
 namespace harmony {
 namespace {
@@ -138,7 +136,7 @@ TEST(BlockCodecV4, RecordRoundTripBothCodecs) {
     EXPECT_GT(raw, 0u);
     if (c == Compression::kNone) EXPECT_EQ(used, Compression::kNone);
     Block d;
-    ASSERT_OK(BlockCodec::Decode(payload, &d, kLogV4));
+    ASSERT_OK(BlockCodec::DecodeRecordV4(payload, &d));
     EXPECT_EQ(d.header.block_hash, b.header.block_hash);
     ASSERT_EQ(d.batch.txns.size(), 20u);
     EXPECT_EQ(d.batch.txns[3].args.blob, "blob-3");
@@ -157,56 +155,19 @@ TEST(BlockCodecV4, CorruptEnvelopeRejected) {
   // Unknown codec byte (offset 156 = fixed header fields).
   std::string bad = payload;
   bad[156] = 9;
-  EXPECT_TRUE(BlockCodec::Decode(bad, &d, kLogV4).IsCorruption());
+  EXPECT_TRUE(BlockCodec::DecodeRecordV4(bad, &d).IsCorruption());
   // Garbage compressed section of the right stored length.
   bad = payload;
   for (size_t i = 166; i < bad.size(); i++) bad[i] = static_cast<char>(0xFF);
-  EXPECT_TRUE(BlockCodec::Decode(bad, &d, kLogV4).IsCorruption());
+  EXPECT_TRUE(BlockCodec::DecodeRecordV4(bad, &d).IsCorruption());
   // Truncation anywhere.
-  EXPECT_FALSE(BlockCodec::Decode(payload.substr(0, 160), &d, kLogV4).ok());
+  EXPECT_FALSE(BlockCodec::DecodeRecordV4(payload.substr(0, 160), &d).ok());
   EXPECT_FALSE(
-      BlockCodec::Decode(payload.substr(0, payload.size() - 1), &d, kLogV4)
+      BlockCodec::DecodeRecordV4(payload.substr(0, payload.size() - 1), &d)
           .ok());
 }
 
-// ------------------------------------------------- old-log hand encoders --
-
-void EncodeTxnV1(const TxnRequest& t, std::string* out) {
-  codec::AppendU32(out, t.proc_id);
-  codec::AppendU64(out, t.client_seq);
-  codec::AppendU64(out, t.submit_time_us);
-  codec::AppendU32(out, t.retries);
-  codec::AppendU32(out, static_cast<uint32_t>(t.args.ints.size()));
-  for (int64_t v : t.args.ints) codec::AppendI64(out, v);
-  codec::AppendBytes(out, t.args.blob);
-}
-
-void EncodeTxnV2(const TxnRequest& t, std::string* out) {
-  codec::AppendU32(out, t.proc_id);
-  codec::AppendU64(out, t.client_id);
-  codec::AppendU64(out, t.client_seq);
-  codec::AppendU64(out, t.submit_time_us);
-  codec::AppendU32(out, t.retries);
-  codec::AppendU32(out, static_cast<uint32_t>(t.args.ints.size()));
-  for (int64_t v : t.args.ints) codec::AppendI64(out, v);
-  codec::AppendBytes(out, t.args.blob);
-}
-
-/// Block payload in the pre-v4 layout with a per-version txn codec.
-template <typename TxnEnc>
-std::string EncodeBlockOld(const Block& b, TxnEnc enc) {
-  std::string out;
-  codec::AppendU64(&out, b.header.block_id);
-  codec::AppendU64(&out, b.header.first_tid);
-  codec::AppendU32(&out, b.header.txn_count);
-  codec::AppendU64(&out, b.header.order_time_us);
-  out.append(reinterpret_cast<const char*>(b.header.prev_hash.data()), 32);
-  out.append(reinterpret_cast<const char*>(b.header.txn_root.data()), 32);
-  out.append(reinterpret_cast<const char*>(b.header.block_hash.data()), 32);
-  out.append(reinterpret_cast<const char*>(b.header.signature.data()), 32);
-  for (const TxnRequest& t : b.batch.txns) enc(t, &out);
-  return out;
-}
+// ------------------------------------------------------ header refusal --
 
 void AppendRecord(std::string* file, const std::string& payload) {
   codec::AppendU32(file, static_cast<uint32_t>(payload.size()));
@@ -222,15 +183,6 @@ void WriteFile(const std::string& path, const std::string& bytes) {
   ::close(fd);
 }
 
-uint32_t FileHeaderVersion(const std::string& path) {
-  int fd = ::open(path.c_str(), O_RDONLY);
-  EXPECT_GE(fd, 0);
-  uint32_t header[2] = {0, 0};
-  EXPECT_EQ(::pread(fd, header, 8, 0), 8);
-  ::close(fd);
-  return header[1];
-}
-
 std::string ReadFileBytes(const std::string& path) {
   int fd = ::open(path.c_str(), O_RDONLY);
   EXPECT_GE(fd, 0);
@@ -242,165 +194,56 @@ std::string ReadFileBytes(const std::string& path) {
   return out;
 }
 
-bool FileExists(const std::string& path) {
-  return ::access(path.c_str(), F_OK) == 0;
-}
-
-// ------------------------------------------------------------- migration --
-
-TEST(BlockStoreMigration, ReadsV1HeaderlessLog) {
-  TempDir dir("mig1");
-  const std::string path = dir.path() + "/chain.log";
-  // v1: no file header; txns have no client_id/fee.
+TEST(BlockStoreMigration, GarbageWithoutHeaderIsNotSupported) {
+  // Only {kLogMagic, kLogV4} opens. Older logs (a headerless v1 file, a v2
+  // or v3 header), a newer version and plain garbage are all refused with
+  // NotSupported, and the file is left byte-identical: no truncation, no
+  // rewrite, no stamped header.
+  TempDir dir("refuse");
   BlockBuilder builder("secret");
-  std::string file;
+  std::string raw_records;  // raw-layout records, the pre-v4 record shape
+  std::string v4_records;
   TxnId tid = 1;
-  std::vector<Digest> hashes;
   for (BlockId i = 1; i <= 3; i++) {
-    TxnBatch batch = MakeBatch(i, tid, 4);
-    for (auto& t : batch.txns) {
-      t.client_id = 0;  // v1 carries neither field
-      t.fee = 0;
-    }
+    Block b = builder.Seal(MakeBatch(i, tid, 4), 0);
     tid += 4;
-    Block b = builder.Seal(std::move(batch), 0);
-    hashes.push_back(b.header.block_hash);
-    AppendRecord(&file, EncodeBlockOld(b, EncodeTxnV1));
+    AppendRecord(&raw_records, BlockCodec::EncodeRaw(b));
+    AppendRecord(&v4_records,
+                 BlockCodec::EncodeRecordV4(b, Compression::kHlz));
   }
-  WriteFile(path, file);
-
+  auto with_header = [](uint32_t version, const std::string& records) {
+    std::string file;
+    codec::AppendU32(&file, 0x4C434248u);  // kLogMagic
+    codec::AppendU32(&file, version);
+    return file + records;
+  };
+  std::string bad_magic = with_header(kLogV4, v4_records);
+  bad_magic[0] ^= 0x5a;
+  const std::pair<const char*, std::string> cases[] = {
+      {"garbage", RandomBytes(4096, 5)},
+      {"headerless v1", raw_records},
+      {"v2 header", with_header(2, raw_records)},
+      {"v3 header", with_header(3, raw_records)},
+      {"v5 header", with_header(kLogV4 + 1, v4_records)},
+      {"v4 version, bad magic", bad_magic},
+  };
+  for (const auto& [name, bytes] : cases) {
+    SCOPED_TRACE(name);
+    const std::string path = dir.path() + "/chain.log";
+    WriteFile(path, bytes);
+    {
+      BlockStore store(path);
+      const Status s = store.Open();
+      EXPECT_EQ(s.code(), Status::Code::kNotSupported) << s.ToString();
+    }
+    EXPECT_EQ(ReadFileBytes(path), bytes);
+  }
+  // The control: the same records behind a v4 header open whole.
+  const std::string path = dir.path() + "/chain.log";
+  WriteFile(path, with_header(kLogV4, v4_records));
   BlockStore store(path);
   ASSERT_OK(store.Open());
   EXPECT_EQ(store.num_blocks(), 3u);
-  EXPECT_EQ(FileHeaderVersion(path), kLogV4);
-  std::vector<Block> all;
-  ASSERT_OK(store.ReadAll(&all));
-  ASSERT_EQ(all.size(), 3u);
-  for (size_t i = 0; i < 3; i++) {
-    EXPECT_EQ(all[i].header.block_hash, hashes[i]);
-    EXPECT_EQ(all[i].batch.txns[1].args.blob, "blob-1");
-    EXPECT_EQ(all[i].batch.txns[1].fee, 0u);
-  }
-}
-
-TEST(BlockStoreMigration, GarbageWithoutHeaderIsNotSupported) {
-  TempDir dir("mig-garbage");
-  const std::string path = dir.path() + "/chain.log";
-  WriteFile(path, RandomBytes(4096, 5));
-  BlockStore store(path);
-  EXPECT_FALSE(store.Open().ok());
-}
-
-TEST(BlockStoreMigration, ReadsV2Log) {
-  TempDir dir("mig2");
-  const std::string path = dir.path() + "/chain.log";
-  BlockBuilder builder("secret");
-  std::string file;
-  uint32_t header[2] = {0x4C434248u, kLogV2};
-  file.append(reinterpret_cast<const char*>(header), 8);
-  TxnBatch batch = MakeBatch(1, 1, 5);
-  for (auto& t : batch.txns) t.fee = 0;  // v2 has client_id but no fee
-  Block b = builder.Seal(std::move(batch), 0);
-  AppendRecord(&file, EncodeBlockOld(b, EncodeTxnV2));
-  WriteFile(path, file);
-
-  BlockStore store(path);
-  ASSERT_OK(store.Open());
-  EXPECT_EQ(store.num_blocks(), 1u);
-  EXPECT_EQ(FileHeaderVersion(path), kLogV4);
-  Block last;
-  ASSERT_OK(store.ReadLast(&last));
-  EXPECT_EQ(last.header.block_hash, b.header.block_hash);
-  EXPECT_EQ(last.batch.txns[2].client_id, 42u);
-}
-
-TEST(BlockStoreMigration, V3ThenV4AppendsAndCompresses) {
-  TempDir dir("mig3");
-  const std::string path = dir.path() + "/chain.log";
-  // A v3 log: current txn codec, uncompressed payloads, v3 header.
-  BlockBuilder builder("secret");
-  std::string file;
-  uint32_t header[2] = {0x4C434248u, kLogV3};
-  file.append(reinterpret_cast<const char*>(header), 8);
-  TxnId tid = 1;
-  for (BlockId i = 1; i <= 4; i++) {
-    Block b = builder.Seal(MakeBatch(i, tid, 8), 0);
-    tid += 8;
-    AppendRecord(&file, BlockCodec::Encode(b));
-  }
-  WriteFile(path, file);
-
-  {
-    BlockStore store(path);
-    ASSERT_OK(store.Open());  // migrates to v4
-    EXPECT_EQ(store.num_blocks(), 4u);
-    // ...followed by v4 (compressed) blocks in the same file.
-    for (BlockId i = 5; i <= 8; i++) {
-      ASSERT_OK(store.Append(builder.Seal(MakeBatch(i, tid, 8), 0)));
-      tid += 8;
-    }
-    EXPECT_GT(store.compressed_blocks(), 0u);
-    EXPECT_LT(store.appended_disk_bytes(), store.appended_raw_bytes());
-  }
-  // Reopen: the mixed-origin chain reads back whole and in order.
-  BlockStore store(path);
-  ASSERT_OK(store.Open());
-  EXPECT_EQ(FileHeaderVersion(path), kLogV4);
-  std::vector<Block> all;
-  ASSERT_OK(store.ReadAll(&all));
-  ASSERT_EQ(all.size(), 8u);
-  for (BlockId i = 0; i < 8; i++) {
-    EXPECT_EQ(all[i].header.block_id, i + 1);
-    EXPECT_EQ(all[i].batch.txns.size(), 8u);
-  }
-  EXPECT_OK(ChainVerifier::VerifyChain(all, "secret"));
-}
-
-TEST(BlockStoreMigration, StaleMigrateTempIsCleanedUpOnOpen) {
-  // A crash between writing <log>.migrate and the rename leaves the temp
-  // behind. Open() must remove it — both when no migration is pending (the
-  // crash happened after the rename) and when one is (before the rename),
-  // where a stale half-written temp must not poison the fresh migration.
-  TempDir dir("stale-migrate");
-  const std::string path = dir.path() + "/chain.log";
-  BlockBuilder builder("secret");
-
-  // Case 1: healthy v4 log, orphaned temp beside it.
-  {
-    BlockStore store(path);
-    ASSERT_OK(store.Open());
-    ASSERT_OK(store.Append(builder.Seal(MakeBatch(1, 1, 4), 0)));
-  }
-  WriteFile(path + ".migrate", RandomBytes(512, 11));
-  {
-    BlockStore store(path);
-    ASSERT_OK(store.Open());
-    EXPECT_EQ(store.num_blocks(), 1u);
-    EXPECT_FALSE(FileExists(path + ".migrate"));
-  }
-
-  // Case 2: v2 log still awaiting migration, stale temp from a crashed
-  // earlier attempt sitting beside it.
-  const std::string path2 = dir.path() + "/chain2.log";
-  std::string file;
-  uint32_t header[2] = {0x4C434248u, kLogV2};
-  file.append(reinterpret_cast<const char*>(header), 8);
-  TxnBatch batch = MakeBatch(1, 1, 5);
-  for (auto& t : batch.txns) t.fee = 0;
-  Block b = builder.Seal(std::move(batch), 0);
-  AppendRecord(&file, EncodeBlockOld(b, EncodeTxnV2));
-  WriteFile(path2, file);
-  WriteFile(path2 + ".migrate", RandomBytes(256, 13));
-  {
-    BlockStore store(path2);
-    ASSERT_OK(store.Open());
-    EXPECT_EQ(store.num_blocks(), 1u);
-    EXPECT_EQ(FileHeaderVersion(path2), kLogV4);
-    EXPECT_FALSE(FileExists(path2 + ".migrate"));
-    Block last;
-    ASSERT_OK(store.ReadLast(&last));
-    EXPECT_EQ(last.header.block_hash, b.header.block_hash);
-  }
 }
 
 // Opens every byte-prefix of `full`: no prefix may crash the store, and any
@@ -446,26 +289,6 @@ TEST(BlockStoreTruncation, EveryByteOffsetOfV4Log) {
     }
   }
   TruncationSweep(dir.path(), ReadFileBytes(path), hashes);
-}
-
-TEST(BlockStoreTruncation, EveryByteOffsetOfV2LogThroughMigration) {
-  // The same sweep through the migrate-on-open path: prefixes of a v2 log.
-  TempDir dir("trunc-v2");
-  BlockBuilder builder("secret");
-  std::string file;
-  uint32_t header[2] = {0x4C434248u, kLogV2};
-  file.append(reinterpret_cast<const char*>(header), 8);
-  std::vector<Digest> hashes;
-  TxnId tid = 1;
-  for (BlockId i = 1; i <= 2; i++) {
-    TxnBatch batch = MakeBatch(i, tid, 5);
-    for (auto& t : batch.txns) t.fee = 0;
-    tid += 5;
-    Block b = builder.Seal(std::move(batch), 0);
-    hashes.push_back(b.header.block_hash);
-    AppendRecord(&file, EncodeBlockOld(b, EncodeTxnV2));
-  }
-  TruncationSweep(dir.path(), file, hashes);
 }
 
 TEST(BlockStoreV4, CorruptCompressedPayloadTruncatesWithoutCrash) {
@@ -525,102 +348,6 @@ TEST(BlockStoreV4, CorruptCompressedPayloadTruncatesWithoutCrash) {
   std::vector<Block> all;
   ASSERT_OK(store.ReadAll(&all));
   EXPECT_EQ(all.size(), good_blocks);
-}
-
-// ------------------------------------------------ end-to-end v3 recovery --
-
-Status Increment(TxnContext& ctx, const ProcArgs& a) {
-  ctx.AddField(static_cast<Key>(a.at(0)), 0, a.at(1));
-  return Status::OK();
-}
-
-HarmonyBC::Options DbOpts(const std::string& dir) {
-  HarmonyBC::Options o;
-  o.dir = dir;
-  o.disk = DiskModel::RamDisk();
-  o.block_size = 8;
-  o.threads = 4;
-  o.checkpoint_every = 1000;  // keep every block in the replay window
-  o.max_block_delay_us = 2'000;
-  return o;
-}
-
-std::unique_ptr<HarmonyBC> OpenDb(const std::string& dir) {
-  auto db = HarmonyBC::Open(DbOpts(dir));
-  EXPECT_TRUE(db.ok()) << db.status().ToString();
-  (*db)->RegisterProcedure(2, "increment", Increment);
-  for (Key k = 0; k < 16; k++) {
-    EXPECT_OK((*db)->Load(k, Value({0})));
-  }
-  EXPECT_TRUE((*db)->Recover().ok());
-  return std::move(*db);
-}
-
-void SubmitRange(HarmonyBC* db, uint64_t client, uint64_t seq0, size_t n) {
-  auto session = db->OpenSession(client);
-  for (size_t i = 0; i < n; i++) {
-    TxnRequest t;
-    t.proc_id = 2;
-    t.client_seq = seq0 + i;
-    t.args.ints = {static_cast<int64_t>(i % 16), 1};
-    session->Submit(std::move(t));
-  }
-  ASSERT_OK(db->Sync());
-}
-
-TEST(MixedVersionRecovery, V3ChainThenV4BlocksRecoverIdentically) {
-  TempDir a("mixed-a"), b("mixed-b");
-  // Phase 1 on A: build a chain, then rewrite its log as v3 (uncompressed).
-  {
-    auto db = OpenDb(a.path());
-    SubmitRange(db.get(), 1, 1, 40);
-  }
-  const std::string chain = a.path() + "/replica.chain";
-  {
-    BlockStore store(chain);
-    ASSERT_OK(store.Open());
-    std::vector<Block> blocks;
-    ASSERT_OK(store.ReadAll(&blocks));
-    ASSERT_GT(blocks.size(), 1u);
-    std::string file;
-    uint32_t header[2] = {0x4C434248u, kLogV3};
-    file.append(reinterpret_cast<const char*>(header), 8);
-    for (const Block& blk : blocks) AppendRecord(&file, BlockCodec::Encode(blk));
-    WriteFile(chain, file);
-  }
-  // The checkpoint predates the rewrite; drop it so recovery replays the
-  // migrated log from genesis (the point of the test).
-  std::remove((a.path() + "/replica.ckpt").c_str());
-
-  // Phase 2 on A: recover from the v3 log (migrates), then append more —
-  // compressed v4 — blocks.
-  Digest da;
-  {
-    auto db = OpenDb(a.path());  // Recover() replays the migrated chain
-    SubmitRange(db.get(), 2, 1, 40);
-    auto d = db->StateDigest();
-    ASSERT_TRUE(d.ok());
-    da = *d;
-    ASSERT_OK(db->AuditChain());
-  }
-  EXPECT_EQ(FileHeaderVersion(chain), kLogV4);
-  // Phase 3 on A: recover once more over the mixed-origin chain.
-  {
-    auto db = OpenDb(a.path());
-    auto d = db->StateDigest();
-    ASSERT_TRUE(d.ok());
-    EXPECT_EQ(*d, da);
-  }
-  // Control on B: the same workload on a pure-v4 chain reaches the same
-  // state digest.
-  {
-    auto db = OpenDb(b.path());
-    SubmitRange(db.get(), 1, 1, 40);
-    SubmitRange(db.get(), 2, 1, 40);
-    auto d = db->StateDigest();
-    ASSERT_TRUE(d.ok());
-    EXPECT_EQ(*d, da);
-  }
 }
 
 }  // namespace

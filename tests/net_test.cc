@@ -16,6 +16,7 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "net/wire.h"
+#include "obs/events.h"
 #include "obs/trace.h"
 #include "tests/test_util.h"
 #include "txn/txn_context.h"
@@ -27,7 +28,6 @@ using net::Frame;
 using net::FrameReassembler;
 using net::Opcode;
 using net::WireError;
-using net::WireStats;
 
 constexpr uint64_t kWaitUs = 30'000'000;
 
@@ -92,6 +92,13 @@ struct Harness {
   std::unique_ptr<net::NetServer> server;
 };
 
+uint64_t CounterValue(const obs::MetricsSnapshot& m, const char* name) {
+  for (const auto& c : m.counters) {
+    if (c.name == name) return c.value;
+  }
+  return 0;
+}
+
 TxnRequest TransferReq(int64_t from, int64_t to, int64_t amount) {
   TxnRequest t;
   t.proc_id = 1;
@@ -100,6 +107,21 @@ TxnRequest TransferReq(int64_t from, int64_t to, int64_t amount) {
 }
 
 // ---------------------------------------------------------------- framing --
+
+/// A frame built byte by byte, with valid CRCs, so a test can stamp any
+/// version or opcode EncodeFrame would never write.
+std::string HandFrame(uint8_t version, uint8_t opcode,
+                      const std::string& payload) {
+  std::string frame;
+  codec::AppendU32(&frame, net::kWireMagic);
+  frame.push_back(static_cast<char>(version));
+  frame.push_back(static_cast<char>(opcode));
+  codec::AppendU16(&frame, 0);
+  codec::AppendU32(&frame, static_cast<uint32_t>(payload.size()));
+  codec::AppendU32(&frame, payload.empty() ? 0 : Crc32(payload));
+  codec::AppendU32(&frame, Crc32(frame.data(), 16));
+  return frame + payload;
+}
 
 TEST(Wire, FrameRoundTripEveryOpcode) {
   // SUBMIT: a TxnRequest through the block codec.
@@ -123,13 +145,6 @@ TEST(Wire, FrameRoundTripEveryOpcode) {
   // SYNC
   std::string sync_payload;
   net::EncodeSync(0xdeadbeefULL, &sync_payload);
-  // STATS
-  WireStats ws;
-  ws.sess_submitted = 5;
-  ws.ing_sealed_blocks = 7;
-  ws.height = 11;
-  std::string stats_payload;
-  net::EncodeStats(ws, &stats_payload);
   // ERROR
   WireError we;
   we.code = Status::Code::kBusy;
@@ -140,8 +155,7 @@ TEST(Wire, FrameRoundTripEveryOpcode) {
 
   const std::pair<Opcode, std::string> frames[] = {
       {Opcode::kOpSubmit, submit_payload}, {Opcode::kOpReceipt, receipt_payload},
-      {Opcode::kOpSync, sync_payload},     {Opcode::kOpStats, stats_payload},
-      {Opcode::kOpError, error_payload},
+      {Opcode::kOpSync, sync_payload},     {Opcode::kOpError, error_payload},
   };
   FrameReassembler reasm;
   std::string stream;
@@ -173,11 +187,6 @@ TEST(Wire, FrameRoundTripEveryOpcode) {
   uint64_t token = 0;
   ASSERT_TRUE(net::DecodeSync(sync_payload, &token));
   EXPECT_EQ(token, 0xdeadbeefULL);
-  WireStats ws2;
-  ASSERT_TRUE(net::DecodeStats(stats_payload, &ws2));
-  EXPECT_EQ(ws2.sess_submitted, 5u);
-  EXPECT_EQ(ws2.ing_sealed_blocks, 7u);
-  EXPECT_EQ(ws2.height, 11u);
   WireError we2;
   ASSERT_TRUE(net::DecodeError(error_payload, &we2));
   EXPECT_EQ(we2.code, Status::Code::kBusy);
@@ -224,18 +233,10 @@ TEST(Wire, CorruptFramesRejected) {
     Frame f;
     EXPECT_TRUE(reasm.Next(&f).IsCorruption());
   }
-  // Unknown opcode.
-  {
-    std::string payload = "12345678";
-    std::string frame;
-    codec::AppendU32(&frame, net::kWireMagic);
-    frame.push_back(static_cast<char>(net::kWireVersion));
-    frame.push_back(static_cast<char>(0x7f));
-    codec::AppendU16(&frame, 0);
-    codec::AppendU32(&frame, static_cast<uint32_t>(payload.size()));
-    codec::AppendU32(&frame, Crc32(payload));
-    codec::AppendU32(&frame, Crc32(frame.data(), 16));
-    frame += payload;
+  // Unknown opcodes: past the last one, zero, and 4 (STATS, retired).
+  for (uint8_t op : {uint8_t{0x7f}, uint8_t{0}, uint8_t{4}}) {
+    SCOPED_TRACE(static_cast<int>(op));
+    const std::string frame = HandFrame(net::kWireVersion, op, "12345678");
     FrameReassembler reasm;
     reasm.Feed(frame.data(), frame.size());
     Frame f;
@@ -258,7 +259,7 @@ TEST(Wire, CorruptFramesRejected) {
   }
 }
 
-// ------------------------------------------------------------ wire v2 -----
+// ---------------------------------------------------------- batch frames ---
 
 TEST(WireV2, BatchFrameRoundTrip) {
   std::vector<TxnRequest> txns;
@@ -272,11 +273,6 @@ TEST(WireV2, BatchFrameRoundTrip) {
   std::string payload;
   net::EncodeBatchSubmit(txns, &payload);
   const std::string frame = net::EncodeFrame(Opcode::kOpBatchSubmit, payload);
-  // Per-opcode version stamping: batch frames are v2, singles stay v1.
-  EXPECT_EQ(static_cast<uint8_t>(frame[4]), net::kWireV2);
-  EXPECT_EQ(
-      static_cast<uint8_t>(net::EncodeFrame(Opcode::kOpSubmit, "x")[4]),
-      net::kWireV1);
 
   FrameReassembler reasm;
   reasm.Feed(frame.data(), frame.size());
@@ -326,39 +322,35 @@ TEST(WireV2, BatchPayloadRejects) {
   EXPECT_FALSE(net::DecodeBatchReceipt(net::SealBatchPayload(1, "xx"), &rout));
 }
 
-TEST(WireV2, BatchOpcodeInV1FrameIsProtocolError) {
-  std::vector<TxnRequest> txns = {TransferReq(1, 2, 3)};
-  std::string payload;
-  net::EncodeBatchSubmit(txns, &payload);
-  // Hand-build the frame with the version byte forced to v1.
-  std::string frame;
-  codec::AppendU32(&frame, net::kWireMagic);
-  frame.push_back(static_cast<char>(net::kWireV1));
-  frame.push_back(static_cast<char>(Opcode::kOpBatchSubmit));
-  codec::AppendU16(&frame, 0);
-  codec::AppendU32(&frame, static_cast<uint32_t>(payload.size()));
-  codec::AppendU32(&frame, Crc32(payload));
-  codec::AppendU32(&frame, Crc32(frame.data(), 16));
-  frame += payload;
-  FrameReassembler reasm;
-  reasm.Feed(frame.data(), frame.size());
-  Frame f;
-  EXPECT_TRUE(reasm.Next(&f).IsCorruption());
-  // And a v2-stamped single SUBMIT is fine (liberal in what we accept).
-  std::string ok_frame;
-  std::string single;
-  BlockCodec::EncodeTxn(txns[0], &single);
-  codec::AppendU32(&ok_frame, net::kWireMagic);
-  ok_frame.push_back(static_cast<char>(net::kWireV2));
-  ok_frame.push_back(static_cast<char>(Opcode::kOpSubmit));
-  codec::AppendU16(&ok_frame, 0);
-  codec::AppendU32(&ok_frame, static_cast<uint32_t>(single.size()));
-  codec::AppendU32(&ok_frame, Crc32(single));
-  codec::AppendU32(&ok_frame, Crc32(ok_frame.data(), 16));
-  ok_frame += single;
-  FrameReassembler reasm2;
-  reasm2.Feed(ok_frame.data(), ok_frame.size());
-  EXPECT_OK(reasm2.Next(&f));
+TEST(Wire, OneVersionStampedAndAccepted) {
+  const Opcode all[] = {
+      Opcode::kOpSubmit,      Opcode::kOpReceipt,      Opcode::kOpSync,
+      Opcode::kOpError,       Opcode::kOpBatchSubmit,  Opcode::kOpBatchReceipt,
+      Opcode::kOpMetrics,     Opcode::kOpReplJoin,     Opcode::kOpReplicate,
+      Opcode::kOpReplicateAck, Opcode::kOpReplSnapshot, Opcode::kOpHealth,
+      Opcode::kOpEvents,
+  };
+  for (Opcode op : all) {
+    SCOPED_TRACE(net::OpcodeName(op));
+    // Every opcode is stamped kWireVersion and reads back.
+    const std::string frame = net::EncodeFrame(op, "payload");
+    EXPECT_EQ(static_cast<uint8_t>(frame[4]), net::kWireVersion);
+    EXPECT_EQ(frame, HandFrame(net::kWireVersion, static_cast<uint8_t>(op),
+                               "payload"));
+    FrameReassembler reasm;
+    reasm.Feed(frame.data(), frame.size());
+    Frame f;
+    ASSERT_OK(reasm.Next(&f));
+    EXPECT_EQ(f.opcode, op);
+    // Any other version, older or newer, is Corruption.
+    for (uint8_t v : {uint8_t{0}, uint8_t{1}, uint8_t{net::kWireVersion + 1},
+                      uint8_t{0xff}}) {
+      const std::string bad = HandFrame(v, static_cast<uint8_t>(op), "p");
+      FrameReassembler r;
+      r.Feed(bad.data(), bad.size());
+      EXPECT_TRUE(r.Next(&f).IsCorruption()) << "version " << int{v};
+    }
+  }
 }
 
 // ----------------------------------------------------------- end to end ----
@@ -393,20 +385,27 @@ TEST(NetServer, LoopbackSubmitReceiptSyncStats) {
   // SYNC: all receipts for prior submits are already delivered.
   EXPECT_TRUE(client->Sync(kWaitUs));
 
-  // STATS reflects this connection's session and the server's ingress.
-  auto stats = client->Stats(kWaitUs);
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->sess_submitted, 2u);
-  EXPECT_EQ(stats->sess_committed, 1u);
-  EXPECT_EQ(stats->sess_logic_aborted, 1u);
-  EXPECT_EQ(stats->sess_inflight, 0u);
-  EXPECT_GE(stats->ing_admitted, 2u);
-  EXPECT_GE(stats->height, 1u);
-
-  // Client-side mirror counters agree.
+  // The client mirror counts this connection's session.
   EXPECT_EQ(client->stats().submitted.load(), 2u);
   EXPECT_EQ(client->stats().committed.load(), 1u);
+  EXPECT_EQ(client->stats().logic_aborted.load(), 1u);
   EXPECT_EQ(client->stats().inflight.load(), 0u);
+
+  // METRICS carries the server's ingress counters and chain height.
+  auto metrics = client->Metrics(kWaitUs);
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  EXPECT_EQ(CounterValue(*metrics, obs::kCounterIngestSubmitted), 2u);
+  EXPECT_EQ(CounterValue(*metrics, obs::kCounterIngestAdmitted), 2u);
+  EXPECT_GE(CounterValue(*metrics, obs::kCounterIngestSealedTxns), 2u);
+  EXPECT_GE(CounterValue(*metrics, obs::kCounterIngestSealedBlocks), 1u);
+  bool saw_height = false;
+  for (const auto& g : metrics->gauges) {
+    if (g.name == obs::kGaugeHeight) {
+      saw_height = true;
+      EXPECT_GE(g.value, 1);
+    }
+  }
+  EXPECT_TRUE(saw_height);
 }
 
 TEST(NetServer, SnapshotOpcodeMatrixAndPerOpcodeAbandonedReplies) {
@@ -415,8 +414,8 @@ TEST(NetServer, SnapshotOpcodeMatrixAndPerOpcodeAbandonedReplies) {
   o.enable_tracing = true;
   Harness h(dir.path(), o);
   // Coalescing client with a far-off delay bound: submits buffer locally
-  // until the next Sync/Stats/Metrics flushes them, which lets the test
-  // queue real dispatch work ahead of a STATS reply.
+  // until the next Sync/Metrics flushes them, which lets the test queue
+  // real dispatch work ahead of a snapshot reply.
   auto client = h.Client(/*batch_max_txns=*/1024,
                          /*batch_max_delay_us=*/60'000'000);
 
@@ -428,43 +427,32 @@ TEST(NetServer, SnapshotOpcodeMatrixAndPerOpcodeAbandonedReplies) {
   EXPECT_EQ(r.outcome, ReceiptOutcome::kCommitted);
   ASSERT_OK(h.db->Sync());
 
-  // Force an abandoned STATS reply: buffer a batch of submits, then issue
-  // a zero-timeout STATS. Stats() flushes the batch first and the reactor
-  // dispatches frames in order, so the reply queues behind the whole
-  // batch's decode+submit work and cannot beat a 0us wait. (Retried for
-  // robustness; a successful call consumes its own reply harmlessly.)
-  bool abandoned = false;
-  for (int i = 0; i < 20 && !abandoned; i++) {
+  // Buffers one batch of submits; the next snapshot call flushes it.
+  auto buffer_batch = [&] {
     for (int j = 0; j < 256; j++) {
       TxnRequest req;
       req.proc_id = 2;
       req.args.ints = {j % 64, 1};
       client->Submit(std::move(req));
     }
-    abandoned = !client->Stats(/*timeout_us=*/0).ok();
+  };
+
+  // Force an abandoned METRICS reply: buffer a batch of submits, then
+  // issue a zero-timeout METRICS. Metrics() flushes the batch first and
+  // the reactor dispatches frames in order, so the reply queues behind the
+  // whole batch's decode+submit work and cannot beat a 0us wait.
+  // (Retried for robustness; a successful call consumes its own reply
+  // harmlessly.)
+  bool abandoned = false;
+  for (int i = 0; i < 20 && !abandoned; i++) {
+    buffer_batch();
+    abandoned = !client->Metrics(/*timeout_us=*/0).ok();
   }
   ASSERT_TRUE(abandoned);
 
-  // An abandoned STATS must not eat the reply of a *different* opcode:
-  // abandoned counts are per opcode, so METRICS resolves with a fresh
-  // snapshot even while a stale STATS reply is still owed on the stream.
-  auto metrics = client->Metrics(kWaitUs);
-  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
-  bool saw_resolve = false;
-  for (const auto& hist : metrics->histograms) {
-    if (hist.name == obs::kHistResolve && hist.count > 0) saw_resolve = true;
-  }
-  EXPECT_TRUE(saw_resolve);
-  EXPECT_FALSE(metrics->slow_txns.empty());
-
-  // And the next STATS is fresh too: the reader discarded exactly the
-  // stale STATS replies, nothing else.
-  auto stats = client->Stats(kWaitUs);
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_GE(stats->sess_submitted, 257u);  // the transfer + one batch
-
-  // HEALTH and EVENTS ride the same stream and the same per-opcode
-  // discipline. Sanity first: both resolve with sane content.
+  // An abandoned METRICS must not eat the reply of a *different* opcode:
+  // abandoned counts are per opcode, so HEALTH and EVENTS resolve with
+  // fresh content even while a stale METRICS reply is still owed.
   auto health = client->Health(kWaitUs);
   ASSERT_TRUE(health.ok()) << health.status().ToString();
   EXPECT_EQ(health->role, net::WireHealth::kStandalone);
@@ -474,29 +462,36 @@ TEST(NetServer, SnapshotOpcodeMatrixAndPerOpcodeAbandonedReplies) {
   auto events0 = client->Events(0, kWaitUs);
   ASSERT_TRUE(events0.ok()) << events0.status().ToString();
 
+  // And the next METRICS is fresh too: the reader discarded exactly the
+  // stale METRICS replies, nothing else.
+  auto metrics = client->Metrics(kWaitUs);
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  bool saw_resolve = false;
+  for (const auto& hist : metrics->histograms) {
+    if (hist.name == obs::kHistResolve && hist.count > 0) saw_resolve = true;
+  }
+  EXPECT_TRUE(saw_resolve);
+  EXPECT_FALSE(metrics->slow_txns.empty());
+  // The transfer + at least one batch.
+  EXPECT_GE(CounterValue(*metrics, obs::kCounterIngestSubmitted), 257u);
+
   // Abandon one request of EVERY snapshot opcode in one shot: buffer a
-  // batch, then zero-timeout all four. Stats() flushes the batch, whose
+  // batch, then zero-timeout all three. Metrics() flushes the batch, whose
   // decode+submit work queues ahead of every reply on the one stream, so
   // none of them can beat a 0us wait.
   bool all_abandoned = false;
   for (int i = 0; i < 20 && !all_abandoned; i++) {
-    for (int j = 0; j < 256; j++) {
-      TxnRequest req;
-      req.proc_id = 2;
-      req.args.ints = {j % 64, 1};
-      client->Submit(std::move(req));
-    }
-    const bool s = !client->Stats(/*timeout_us=*/0).ok();
+    buffer_batch();
     const bool m = !client->Metrics(/*timeout_us=*/0).ok();
     const bool hl = !client->Health(/*timeout_us=*/0).ok();
     const bool ev = !client->Events(0, /*timeout_us=*/0).ok();
-    all_abandoned = s && m && hl && ev;
+    all_abandoned = m && hl && ev;
   }
   ASSERT_TRUE(all_abandoned);
 
   // With a stale reply of each opcode owed on the stream, every opcode
   // still resolves fresh in its own lane — no cross-opcode theft in any
-  // pairing, not just STATS vs METRICS.
+  // pairing.
   auto health2 = client->Health(kWaitUs);
   ASSERT_TRUE(health2.ok()) << health2.status().ToString();
   EXPECT_EQ(health2->role, net::WireHealth::kStandalone);
@@ -505,9 +500,8 @@ TEST(NetServer, SnapshotOpcodeMatrixAndPerOpcodeAbandonedReplies) {
   EXPECT_GE(events2->next_cursor, events0->next_cursor);
   auto metrics2 = client->Metrics(kWaitUs);
   ASSERT_TRUE(metrics2.ok()) << metrics2.status().ToString();
-  auto stats2 = client->Stats(kWaitUs);
-  ASSERT_TRUE(stats2.ok()) << stats2.status().ToString();
-  EXPECT_GE(stats2->sess_submitted, 513u);  // at least two batches landed
+  // At least two batches landed.
+  EXPECT_GE(CounterValue(*metrics2, obs::kCounterIngestSubmitted), 513u);
 }
 
 TEST(NetServer, CallbackModeDeliversOnReaderThread) {
@@ -804,7 +798,7 @@ TEST(NetServerBatch, MixedBatchingAndPlainClients) {
   std::vector<std::thread> threads;
   for (int mode = 0; mode < 2; mode++) {
     threads.emplace_back([&, mode] {
-      // mode 0: plain v1-style singles; mode 1: coalesced BATCH_SUBMITs.
+      // mode 0: one SUBMIT per txn; mode 1: coalesced BATCH_SUBMITs.
       auto client = mode == 0 ? h.Client() : h.Client(8, 300);
       for (size_t i = 0; i < kTxns; i++) {
         TxnRequest t;

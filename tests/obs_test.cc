@@ -390,29 +390,6 @@ TEST(WireMetricsTest, MutatedPayloadsNeverCrashDecode) {
   EXPECT_EQ(back.counters.size(), 1u);
 }
 
-TEST(WireMetricsTest, StatsV1PayloadStaysFrozen) {
-  // The v1 STATS codec is byte-stable: METRICS rides its own opcode so v1
-  // peers keep decoding STATS exactly as before.
-  net::WireStats s;
-  s.sess_submitted = 11;
-  s.ing_admitted = 22;
-  s.height = 33;
-  std::string payload;
-  net::EncodeStats(s, &payload);
-  net::WireStats back;
-  ASSERT_TRUE(net::DecodeStats(payload, &back));
-  EXPECT_EQ(back.sess_submitted, 11u);
-  EXPECT_EQ(back.ing_admitted, 22u);
-  EXPECT_EQ(back.height, 33u);
-  // A METRICS payload is not a valid STATS payload.
-  MetricsRegistry reg;
-  reg.GetCounter("c")->Add(1);
-  std::string mpayload;
-  net::EncodeMetrics(reg.Snapshot(), &mpayload);
-  net::WireStats bogus;
-  EXPECT_FALSE(net::DecodeStats(mpayload, &bogus));
-}
-
 // ----------------------------------------------------- event log ------------
 
 TEST(EventLogTest, EmitSinceAndDetailTruncation) {
@@ -436,6 +413,9 @@ TEST(EventLogTest, EmitSinceAndDetailTruncation) {
   EXPECT_EQ(out[0].detail, "f1 @ tip 0");
   // Oversized detail is truncated at Emit, not rejected.
   EXPECT_EQ(out[1].detail, std::string(obs::EventLog::kMaxDetail, 'x'));
+  // Codes render by name; a retired or unknown code renders as code_<n>.
+  EXPECT_EQ(obs::EventCodeName(out[0].code), "follower_join");
+  EXPECT_EQ(obs::EventCodeName(8), "code_8");
 
   // Resuming from the returned cursor yields nothing until a new Emit.
   out.clear();

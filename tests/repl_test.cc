@@ -231,12 +231,6 @@ TEST(ReplWire, RoundTripEveryReplOpcode) {
   std::string snap_payload;
   net::EncodeSnapshot(snap, &snap_payload);
 
-  // Replication opcodes are wire v2 by construction.
-  for (Opcode op : {Opcode::kOpReplJoin, Opcode::kOpReplicate,
-                    Opcode::kOpReplicateAck, Opcode::kOpReplSnapshot}) {
-    EXPECT_EQ(net::WireVersionFor(op), net::kWireV2);
-  }
-
   // Stream all four frames byte-by-byte through the reassembler.
   std::string stream;
   stream += net::EncodeFrame(Opcode::kOpReplJoin, join_payload);

@@ -35,7 +35,7 @@ P_F2=$((BASE + 2))
 wait_serving() { # port name
   local port=$1 name=$2
   for _ in $(seq 1 100); do
-    if "$HARMONYD" stats --port "$port" >/dev/null 2>&1; then
+    if "$HARMONYD" health --port "$port" >/dev/null 2>&1; then
       return 0
     fi
     sleep 0.1
@@ -46,8 +46,8 @@ wait_serving() { # port name
 }
 
 height_of() { # port
-  "$HARMONYD" stats --port "$1" 2>/dev/null |
-    sed -n 's/^chain *height=\([0-9]*\).*/\1/p'
+  "$HARMONYD" health --port "$1" 2>/dev/null |
+    sed -n 's/.* height=\([0-9]*\) .*/\1/p'
 }
 
 echo "== boot leader (:$P_LEADER) + 2 followers (:$P_F1 :$P_F2)"

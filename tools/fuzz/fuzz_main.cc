@@ -29,6 +29,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -133,58 +134,11 @@ Block MakeBlock(FuzzRng& rng, BlockBuilder& builder, BlockId id,
   return builder.Seal(std::move(batch), rng.Range(1, 1 << 30));
 }
 
-// Pre-v4 hand encoders (the production codec only writes the current
-// version; old layouts live here and in tests/formats_test.cc).
-void EncodeTxnV1(const TxnRequest& t, std::string* out) {
-  codec::AppendU32(out, t.proc_id);
-  codec::AppendU64(out, t.client_seq);
-  codec::AppendU64(out, t.submit_time_us);
-  codec::AppendU32(out, t.retries);
-  codec::AppendU32(out, static_cast<uint32_t>(t.args.ints.size()));
-  for (int64_t v : t.args.ints) codec::AppendI64(out, v);
-  codec::AppendBytes(out, t.args.blob);
-}
-
-void EncodeTxnV2(const TxnRequest& t, std::string* out) {
-  codec::AppendU32(out, t.proc_id);
-  codec::AppendU64(out, t.client_id);
-  codec::AppendU64(out, t.client_seq);
-  codec::AppendU64(out, t.submit_time_us);
-  codec::AppendU32(out, t.retries);
-  codec::AppendU32(out, static_cast<uint32_t>(t.args.ints.size()));
-  for (int64_t v : t.args.ints) codec::AppendI64(out, v);
-  codec::AppendBytes(out, t.args.blob);
-}
-
-std::string EncodeBlockOld(const Block& b, uint32_t version) {
-  std::string out;
-  codec::AppendU64(&out, b.header.block_id);
-  codec::AppendU64(&out, b.header.first_tid);
-  codec::AppendU32(&out, b.header.txn_count);
-  codec::AppendU64(&out, b.header.order_time_us);
-  out.append(reinterpret_cast<const char*>(b.header.prev_hash.data()), 32);
-  out.append(reinterpret_cast<const char*>(b.header.txn_root.data()), 32);
-  out.append(reinterpret_cast<const char*>(b.header.block_hash.data()), 32);
-  out.append(reinterpret_cast<const char*>(b.header.signature.data()), 32);
-  for (const TxnRequest& t : b.batch.txns) {
-    if (version == kLogV1) {
-      EncodeTxnV1(t, &out);
-    } else {
-      EncodeTxnV2(t, &out);
-    }
-  }
-  return out;
-}
-
-/// One record-payload encoding for any log version 1..4.
-std::string EncodeRecordFor(FuzzRng& rng, const Block& b, uint32_t version) {
-  if (version == kLogV4) {
-    const Compression c =
-        rng.Chance(0.5) ? Compression::kHlz : Compression::kNone;
-    return BlockCodec::EncodeRecordV4(b, c);
-  }
-  if (version == kLogV3) return BlockCodec::Encode(b);
-  return EncodeBlockOld(b, version);
+/// A v4 record payload, HLZ-compressed or raw-envelope at random.
+std::string EncodeRecord(FuzzRng& rng, const Block& b) {
+  const Compression c =
+      rng.Chance(0.5) ? Compression::kHlz : Compression::kNone;
+  return BlockCodec::EncodeRecordV4(b, c);
 }
 
 void AppendRecord(std::string* file, const std::string& payload) {
@@ -193,20 +147,18 @@ void AppendRecord(std::string* file, const std::string& payload) {
   codec::AppendU32(file, Crc32(payload));
 }
 
-/// A whole well-formed block-log file of the given version (v1 has no
-/// header), with a freshly chained block sequence.
+/// A block-log file: the {magic, version} header followed by freshly
+/// chained v4 records. Only version == kLogVersion is a well-formed log.
 std::string BuildLogFile(FuzzRng& rng, uint32_t version, size_t n_blocks) {
   std::string file;
-  if (version >= kLogV2) {
-    codec::AppendU32(&file, 0x4C434248u);  // kLogMagic ("HBCL")
-    codec::AppendU32(&file, version);
-  }
+  codec::AppendU32(&file, 0x4C434248u);  // kLogMagic ("HBCL")
+  codec::AppendU32(&file, version);
   BlockBuilder builder("fuzz-secret");
   TxnId tid = 1;
   for (size_t i = 0; i < n_blocks; i++) {
     Block b = MakeBlock(rng, builder, static_cast<BlockId>(i + 1), tid);
     tid += b.header.txn_count;
-    AppendRecord(&file, EncodeRecordFor(rng, b, version));
+    AppendRecord(&file, EncodeRecord(rng, b));
   }
   return file;
 }
@@ -293,6 +245,17 @@ void CaseHlz(FuzzRng& rng, Ctx& ctx) {
   }
 }
 
+/// Every assigned opcode (4, once STATS, stays unassigned).
+constexpr net::Opcode kOpcodes[] = {
+    net::Opcode::kOpSubmit,       net::Opcode::kOpReceipt,
+    net::Opcode::kOpSync,         net::Opcode::kOpError,
+    net::Opcode::kOpBatchSubmit,  net::Opcode::kOpBatchReceipt,
+    net::Opcode::kOpMetrics,      net::Opcode::kOpReplJoin,
+    net::Opcode::kOpReplicate,    net::Opcode::kOpReplicateAck,
+    net::Opcode::kOpReplSnapshot, net::Opcode::kOpHealth,
+    net::Opcode::kOpEvents,
+};
+
 /// FrameReassembler: mutated multi-frame streams fed in random chunk sizes.
 /// Unmutated streams must yield every frame intact; Corruption is terminal
 /// (the caller's contract is to close the connection — a second Next() must
@@ -303,7 +266,7 @@ void CaseWireReassembler(FuzzRng& rng, Ctx& ctx) {
   const size_t n_frames = 1 + rng.Index(3);
   for (size_t i = 0; i < n_frames; i++) {
     net::Frame f;
-    f.opcode = static_cast<net::Opcode>(1 + rng.Index(12));
+    f.opcode = kOpcodes[rng.Index(std::size(kOpcodes))];
     f.payload = rng.Bytes(rng.SkewedSize(2048));
     stream += net::EncodeFrame(f.opcode, f.payload);
     built.push_back(std::move(f));
@@ -355,7 +318,7 @@ void CaseWireReassembler(FuzzRng& rng, Ctx& ctx) {
 /// bool; the invariant is "no crash, no OOB" (sanitizers enforce) plus
 /// unmutated payloads must decode and round-trip.
 void CaseWirePayload(FuzzRng& rng, Ctx& ctx) {
-  const size_t kind = rng.Index(8);
+  const size_t kind = rng.Index(7);
   std::string payload;
   switch (kind) {
     case 0: {  // SUBMIT: BlockCodec::EncodeTxn
@@ -378,18 +341,10 @@ void CaseWirePayload(FuzzRng& rng, Ctx& ctx) {
     case 3:
       net::EncodeSync(rng.U64(), &payload);
       break;
-    case 4: {
-      net::WireStats st;
-      st.sess_submitted = rng.U64();
-      st.height = rng.U64();
-      st.queue_depth = rng.U64();
-      net::EncodeStats(st, &payload);
-      break;
-    }
-    case 5:
+    case 4:
       net::EncodeMetrics(MakeSnapshot(rng), &payload);
       break;
-    case 6: {
+    case 5: {
       std::vector<TxnRequest> txns;
       const size_t n = 1 + rng.Index(6);
       for (size_t i = 0; i < n; i++) txns.push_back(MakeTxn(rng));
@@ -414,7 +369,7 @@ void CaseWirePayload(FuzzRng& rng, Ctx& ctx) {
     case 0: {
       codec::Reader r(payload);
       TxnRequest t;
-      const bool ok = BlockCodec::DecodeTxn(&r, &t, kLogVersion);
+      const bool ok = BlockCodec::DecodeTxn(&r, &t);
       if (!mutated) FUZZ_CHECK(ok, "valid SUBMIT payload rejected");
       break;
     }
@@ -437,18 +392,12 @@ void CaseWirePayload(FuzzRng& rng, Ctx& ctx) {
       break;
     }
     case 4: {
-      net::WireStats st;
-      const bool ok = net::DecodeStats(payload, &st);
-      if (!mutated) FUZZ_CHECK(ok, "valid STATS payload rejected");
-      break;
-    }
-    case 5: {
       obs::MetricsSnapshot m;
       const bool ok = net::DecodeMetrics(payload, &m);
       if (!mutated) FUZZ_CHECK(ok, "valid METRICS payload rejected");
       break;
     }
-    case 6: {
+    case 5: {
       std::vector<TxnRequest> txns;
       const bool ok = net::DecodeBatchSubmit(payload, &txns);
       if (!mutated) FUZZ_CHECK(ok, "valid BATCH_SUBMIT payload rejected");
@@ -463,18 +412,20 @@ void CaseWirePayload(FuzzRng& rng, Ctx& ctx) {
   }
 }
 
-/// BlockCodec::Decode across every log version's record layout.
+/// BlockCodec's two block layouts: the raw one (REPLICATE payloads) and
+/// the v4 log record.
 void CaseBlockRecord(FuzzRng& rng, Ctx& ctx) {
-  const uint32_t version = static_cast<uint32_t>(1 + rng.Index(4));
+  const bool raw = rng.Chance(0.5);
   BlockBuilder builder("fuzz-secret");
   Block b = MakeBlock(rng, builder, 1, 1);
-  std::string payload = EncodeRecordFor(rng, b, version);
+  std::string payload = raw ? BlockCodec::EncodeRaw(b) : EncodeRecord(rng, b);
 
   const bool mutated = rng.Chance(0.9);
   if (mutated) ctx.mut.Mutate(rng, &payload);
 
   Block d;
-  Status s = BlockCodec::Decode(payload, &d, version);
+  Status s = raw ? BlockCodec::DecodeRaw(payload, &d)
+                 : BlockCodec::DecodeRecordV4(payload, &d);
   if (!mutated) {
     FUZZ_CHECK(s.ok(), "valid record payload rejected");
     FUZZ_CHECK(d.header.block_hash == b.header.block_hash &&
@@ -483,14 +434,33 @@ void CaseBlockRecord(FuzzRng& rng, Ctx& ctx) {
   }
 }
 
+std::string ReadWholeFile(const std::string& path) {
+  std::string out;
+  FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return out;
+  char buf[4096];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
+  std::fclose(f);
+  return out;
+}
+
 /// BlockStore::Open on whole mutated log files (exercises header/version
-/// detection, migration of v1-v3, torn-tail repair, CRC validation). The
-/// invariant: whatever Open accepts, ReadAll must then parse — "opened"
-/// means every surviving record is readable.
+/// checks, torn-tail repair, CRC validation). Headers carry a random
+/// version — older, current or newer. The invariants: a file of at least
+/// 8 bytes whose header is not {kLogMagic, kLogV4} is NotSupported and left
+/// byte-identical; whatever Open accepts, ReadAll must then parse —
+/// "opened" means every surviving record is readable.
 void CaseLogOpen(FuzzRng& rng, Ctx& ctx) {
-  const uint32_t version = static_cast<uint32_t>(1 + rng.Index(4));
+  const uint32_t version = static_cast<uint32_t>(1 + rng.Index(5));
   std::string file = BuildLogFile(rng, version, rng.Index(4));
   if (rng.Chance(0.9)) ctx.mut.Mutate(rng, &file);
+  uint32_t header[2] = {0, 0};
+  if (file.size() >= sizeof(header)) {
+    std::memcpy(header, file.data(), sizeof(header));
+  }
+  const bool foreign = file.size() >= sizeof(header) &&
+                       (header[0] != 0x4C434248u || header[1] != kLogV4);
 
   const std::string path = ctx.tmp_dir + "/log_open.chain";
   {
@@ -505,6 +475,12 @@ void CaseLogOpen(FuzzRng& rng, Ctx& ctx) {
   {
     BlockStore store(path, /*sync_latency_us=*/0);
     Status s = store.Open();
+    if (foreign) {
+      FUZZ_CHECK(s.code() == Status::Code::kNotSupported,
+                 "Open() accepted a log header other than v4");
+      FUZZ_CHECK(ReadWholeFile(path) == file,
+                 "Open() modified a log it refused");
+    }
     if (s.ok()) {
       std::vector<Block> blocks;
       FUZZ_CHECK(store.ReadAll(&blocks).ok(),
@@ -523,7 +499,6 @@ void CaseLogOpen(FuzzRng& rng, Ctx& ctx) {
     }
   }
   ::unlink(path.c_str());
-  ::unlink((path + ".migrate").c_str());
 }
 
 net::WireSnapshot MakeWireSnapshot(FuzzRng& rng) {
@@ -852,10 +827,9 @@ const Target kTargets[] = {
     {"hlz", CaseHlz, "HLZ compress/decompress (common/compress.h)"},
     {"wire_reassembler", CaseWireReassembler,
      "frame reassembly over mutated byte streams (net/wire.h)"},
-    {"wire_payload", CaseWirePayload,
-     "every opcode payload decoder, v1 and v2"},
+    {"wire_payload", CaseWirePayload, "every client opcode payload decoder"},
     {"block_record", CaseBlockRecord,
-     "BlockCodec::Decode across log versions v1-v4"},
+     "BlockCodec raw block layout and v4 log record"},
     {"log_open", CaseLogOpen,
      "BlockStore::Open + ReadAll on mutated log files"},
     {"metrics", CaseMetrics, "kOpMetrics snapshot codec round-trips"},
@@ -938,17 +912,13 @@ int WriteCorpus(const std::string& dir) {
   entries.push_back({"block_record_v4.hex",
                      "# one v4 record payload (HLZ envelope)",
                      BlockCodec::EncodeRecordV4(b, Compression::kHlz)});
-  entries.push_back({"block_record_v3.hex", "# one v3 (raw) record payload",
-                     BlockCodec::Encode(b)});
+  entries.push_back({"block_raw.hex", "# one raw-layout block (REPLICATE)",
+                     BlockCodec::EncodeRaw(b)});
 
   FuzzRng lrng(43);
   entries.push_back({"log_v4_two_blocks.hex",
                      "# complete v4 log file: header + 2 records",
                      BuildLogFile(lrng, kLogV4, 2)});
-  FuzzRng l2rng(44);
-  entries.push_back({"log_v2_one_block.hex",
-                     "# complete v2 log file (migrates on open)",
-                     BuildLogFile(l2rng, kLogV2, 1)});
 
   std::string hlz;
   HlzCompress("transfer(acct-12345, acct-67890, amount=100);"
@@ -970,7 +940,7 @@ int WriteCorpus(const std::string& dir) {
   std::string repl_payload;
   net::EncodeReplicate(b, &repl_payload);
   entries.push_back({"repl_replicate.hex",
-                     "# REPLICATE payload: u64 block id + v3 record bytes",
+                     "# REPLICATE payload: u64 block id + raw block bytes",
                      repl_payload});
 
   FuzzRng srng(45);

@@ -1,4 +1,4 @@
-// harmonyd — the HarmonyBC network daemon, plus a wire-level stats CLI.
+// harmonyd — the HarmonyBC network daemon, plus wire-level query CLIs.
 //
 // Serve a chain directory over the binary wire protocol (docs/NET.md):
 //
@@ -34,12 +34,9 @@
 //   exactly-once receipt ledger; exits non-zero on lost or duplicated
 //   receipts (or if nothing committed).
 //
-// Query a running daemon over the wire (the STATS frame):
-//
-//   ./build/harmonyd stats --host 127.0.0.1 --port 7450
-//
-// Or pull its full metrics registry snapshot (the METRICS frame — per-stage
-// latency histograms, slow-txn ring; docs/OBSERVABILITY.md):
+// Query a running daemon over the wire: its full metrics registry snapshot
+// (the METRICS frame — per-stage latency histograms, ingest/storage/DCC
+// counters, slow-txn ring; docs/OBSERVABILITY.md):
 //
 //   ./build/harmonyd metrics --host 127.0.0.1 --port 7450 [--json] [--prom]
 //
@@ -49,7 +46,7 @@
 //   ./build/harmonyd events --port 7450 [--follow] [--json]
 //   ./build/harmonyd cluster-status --nodes 127.0.0.1:7450,127.0.0.1:7451
 //
-// stats/metrics/health accept --watch S (re-print every S seconds until
+// metrics/health accept --watch S (re-print every S seconds until
 // SIGINT); events --follow tails the server's event ring via its cursor.
 #include <algorithm>
 #include <atomic>
@@ -138,7 +135,6 @@ int Usage() {
                "--join HOST:PORT [--node NAME]]\n"
                "       harmonyd load [--host A] [--port N] [--conns N] "
                "[--txns N] [--accounts N]\n"
-               "       harmonyd stats [--host A] [--port N] [--watch S]\n"
                "       harmonyd metrics [--host A] [--port N] [--json] "
                "[--prom] [--watch S]\n"
                "       harmonyd health [--host A] [--port N] [--watch S]\n"
@@ -492,55 +488,6 @@ int WatchLoop(const Args& args, const std::function<int()>& body) {
   return rc;
 }
 
-int PrintStatsOnce(net::NetClient* client) {
-  auto stats = client->Stats(/*timeout_us=*/5'000'000);
-  if (!stats.ok()) {
-    std::fprintf(stderr, "stats: %s\n", stats.status().ToString().c_str());
-    return 1;
-  }
-  const net::WireStats& s = *stats;
-  auto u = [](uint64_t v) { return static_cast<unsigned long long>(v); };
-  std::printf("session  submitted=%llu committed=%llu logic_aborted=%llu "
-              "dropped=%llu rejected=%llu inflight=%llu\n",
-              u(s.sess_submitted), u(s.sess_committed),
-              u(s.sess_logic_aborted), u(s.sess_dropped), u(s.sess_rejected),
-              u(s.sess_inflight));
-  const uint64_t done = s.sess_committed + s.sess_logic_aborted;
-  std::printf("session  latency mean=%.1fus max=%llu us (over %llu executed)\n",
-              done ? static_cast<double>(s.sess_latency_sum_us) /
-                         static_cast<double>(done)
-                   : 0.0,
-              u(s.sess_latency_max_us), u(done));
-  std::printf("ingress  submitted=%llu admitted=%llu duplicates=%llu "
-              "rejected=%llu rate_limited=%llu demoted=%llu "
-              "backpressured=%llu\n",
-              u(s.ing_submitted), u(s.ing_admitted), u(s.ing_duplicates),
-              u(s.ing_rejected), u(s.ing_rate_limited), u(s.ing_demoted),
-              u(s.ing_backpressured));
-  std::printf("ingress  retries enqueued=%llu dropped=%llu | sealed "
-              "blocks=%llu txns=%llu (hi/no/lo/rt %llu/%llu/%llu/%llu)\n",
-              u(s.ing_retries_enqueued), u(s.ing_retries_dropped),
-              u(s.ing_sealed_blocks), u(s.ing_sealed_txns),
-              u(s.ing_sealed_high), u(s.ing_sealed_normal),
-              u(s.ing_sealed_low), u(s.ing_sealed_retry));
-  std::printf("chain    height=%llu pending_receipts=%llu queue_depth=%llu\n",
-              u(s.height), u(s.pending_receipts), u(s.queue_depth));
-  std::fflush(stdout);
-  return 0;
-}
-
-int StatsCli(const Args& args) {
-  net::NetClientOptions co;
-  co.host = args.host;
-  co.port = args.port;
-  auto client = net::NetClient::Connect(co);
-  if (!client.ok()) {
-    std::fprintf(stderr, "connect: %s\n", client.status().ToString().c_str());
-    return 1;
-  }
-  return WatchLoop(args, [&] { return PrintStatsOnce(client->get()); });
-}
-
 int MetricsCli(const Args& args) {
   net::NetClientOptions co;
   co.host = args.host;
@@ -768,7 +715,6 @@ int main(int argc, char** argv) {
   if (!Parse(argc, argv, &args)) return Usage();
   if (args.mode == "serve") return Serve(args);
   if (args.mode == "load") return LoadCli(args);
-  if (args.mode == "stats") return StatsCli(args);
   if (args.mode == "metrics") return MetricsCli(args);
   if (args.mode == "health") return HealthCli(args);
   if (args.mode == "events") return EventsCli(args);

@@ -47,7 +47,6 @@
 
 #include "chain/block.h"
 #include "chain/block_store.h"
-#include "common/codec.h"
 #include "core/harmonybc.h"
 #include "net/server.h"
 #include "repl/follower.h"
@@ -144,7 +143,7 @@ Result<std::unique_ptr<HarmonyBC>> BootFollowerDb(const std::string& dir) {
 
 /// Runs the seeded workload until the armed crash point kills the process
 /// (or to completion, when the schedule's point never fires — e.g. a
-/// migrate point on a schedule with nothing to migrate).
+/// truncate point on a schedule without retention).
 ///
 /// With `repl`, the child also runs a leader-side Replicator + NetServer
 /// and an in-process follower on <dir>/follower, so the repl.* crash points
@@ -251,47 +250,6 @@ int RunChild(const std::string& dir, uint64_t wseed, uint64_t txns,
 
 // ----------------------------------------------------------- parent mode --
 
-/// Pre-builds a v3 block log so the child's Open() migrates it — the only
-/// way the chain.migrate.* crash points (and the v2->v4 read paths) are on
-/// a schedule's execution path.
-bool BuildMigrateChain(const std::string& dir, uint64_t seed,
-                       size_t n_blocks) {
-  std::string file;
-  codec::AppendU32(&file, 0x4C434248u);  // kLogMagic
-  codec::AppendU32(&file, kLogV3);
-  BlockBuilder builder("orderer-secret");
-  Rng rng(seed);
-  TxnId tid = 1;
-  for (size_t i = 0; i < n_blocks; i++) {
-    TxnBatch batch;
-    batch.block_id = static_cast<BlockId>(i + 1);
-    batch.first_tid = tid;
-    const size_t n = 1 + rng.Uniform(4);
-    for (size_t j = 0; j < n; j++) {
-      TxnRequest t;
-      t.proc_id = 2;
-      t.args.ints = {static_cast<int64_t>(rng.Uniform(kAccounts)),
-                     rng.UniformRange(1, 9)};
-      t.client_id = 1;
-      t.client_seq = tid + j;
-      batch.txns.push_back(std::move(t));
-    }
-    Block b = builder.Seal(std::move(batch), 1000 + i);
-    tid += b.header.txn_count;
-    const std::string payload = BlockCodec::Encode(b);
-    codec::AppendU32(&file, static_cast<uint32_t>(payload.size()));
-    file.append(payload);
-    codec::AppendU32(&file, Crc32(payload));
-  }
-  const std::string path = dir + "/replica.chain";
-  FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const bool ok =
-      std::fwrite(file.data(), 1, file.size(), f) == file.size();
-  std::fclose(f);
-  return ok;
-}
-
 std::string DigestHex(const Digest& d) {
   static const char* kHex = "0123456789abcdef";
   std::string s;
@@ -308,12 +266,10 @@ struct Schedule {
   uint64_t hit = 1;
   double frac = 1.0;     // torn-write prefix fraction
   bool torn = false;
-  bool migrate = false;  // pre-build a v3 log first
   bool repl = false;     // run a leader+follower replication pair
   uint64_t retain = 0;   // >0: retention-enabled child (truncate mode)
   uint64_t wseed = 0;    // child workload seed
   uint64_t txns = 0;
-  size_t migrate_blocks = 0;
 
   std::string EnvSpec() const {
     char buf[128];
@@ -344,14 +300,8 @@ Schedule PlanSchedule(uint64_t run_seed, uint64_t k, bool truncate_mode) {
     } else {
       // The rest draw from the generic pool so storage/chain/repl crashes
       // also land while retention is rewriting the log underneath them.
-      std::vector<const char*> pool;
-      for (size_t i = 0; i < testing::kNumCrashPoints; i++) {
-        if (std::strncmp(testing::kCrashPointCatalogue[i], "chain.migrate.",
-                         14) != 0) {
-          pool.push_back(testing::kCrashPointCatalogue[i]);
-        }
-      }
-      s.point = pool[rng.Index(pool.size())];
+      s.point = testing::kCrashPointCatalogue[rng.Index(
+          testing::kNumCrashPoints)];
       s.hit = 1 + rng.Index(10);
     }
     if (s.point == "chain.append.torn_write") {
@@ -365,27 +315,8 @@ Schedule PlanSchedule(uint64_t run_seed, uint64_t k, bool truncate_mode) {
     return s;
   }
   s.txns = rng.Range(48, 120);
-  s.migrate = rng.Chance(0.2);
-  s.migrate_blocks = s.migrate ? 2 + rng.Index(6) : 0;
-
-  // Pick the crash point: migrate schedules aim at the migration rename
-  // half the time (the only schedules where those points are reachable);
-  // everything else draws uniformly from the non-migrate points.
-  if (s.migrate && rng.Chance(0.5)) {
-    s.point = rng.Chance(0.5) ? "chain.migrate.before_rename"
-                              : "chain.migrate.after_rename";
-    s.hit = 1;
-  } else {
-    std::vector<const char*> pool;
-    for (size_t i = 0; i < testing::kNumCrashPoints; i++) {
-      if (std::strncmp(testing::kCrashPointCatalogue[i], "chain.migrate.",
-                       14) != 0) {
-        pool.push_back(testing::kCrashPointCatalogue[i]);
-      }
-    }
-    s.point = pool[rng.Index(pool.size())];
-    s.hit = 1 + rng.Index(10);
-  }
+  s.point = testing::kCrashPointCatalogue[rng.Index(testing::kNumCrashPoints)];
+  s.hit = 1 + rng.Index(10);
   if (s.point == "chain.append.torn_write") {
     s.torn = true;
     s.frac = 0.05 + 0.9 * (static_cast<double>(rng.Index(1000)) / 1000.0);
@@ -556,11 +487,6 @@ int RunSchedule(const std::string& exe, const std::string& base_dir,
   if (ec) {
     std::fprintf(stderr, "mkdir %s: %s\n", dir.c_str(),
                  ec.message().c_str());
-    return 1;
-  }
-  if (plan.migrate &&
-      !BuildMigrateChain(dir, plan.wseed ^ 0xABCDULL, plan.migrate_blocks)) {
-    std::fprintf(stderr, "cannot pre-build migrate chain\n");
     return 1;
   }
 
